@@ -196,7 +196,7 @@ fn fleet_sweep() {
         "reqs/min"
     );
     for n in [48usize, 512, 2048, 10_000] {
-        let mut sim = longtail_fleet(n, true, 0, 42);
+        let mut sim = longtail_fleet(n, 0, 42);
         let t = std::time::Instant::now();
         sim.run_for(sim_min * MILLIS_PER_MIN);
         let wall = t.elapsed().as_secs_f64();

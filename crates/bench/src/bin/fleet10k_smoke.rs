@@ -1,19 +1,19 @@
-//! 10k-fleet smoke gate for the sharded tick engine (ROADMAP item 1).
+//! 10k-fleet smoke gate for the sharded tick engine.
 //!
 //! Two legs, both fast enough for the verify recipe:
 //!
 //! 1. **Determinism** — a long-tail 10k-service fleet driven 90 simulated
-//!    seconds (covering one TDE round) serially and on the sharded engine
-//!    with the shard count pinned wide (8), so the cross-thread barrier and
-//!    merge actually run even on a small host. Event-log fingerprints and
-//!    per-node counters must be bit-identical, and the sharded engine must
-//!    account for every node-tick.
-//! 2. **Throughput floor** — the sharded engine (auto shard count) must
-//!    sustain ≥1M node-ticks/s over its fastest 15-second chunk, raced
-//!    against the serial reference in interleaved chunks. A shared host's
-//!    noise stalls can span minutes and tax every chunk, so serial racing
+//!    seconds (covering one TDE round) on one shard and with the shard
+//!    count pinned wide (8), so the cross-thread barrier and merge actually
+//!    run even on a small host. Event-log fingerprints and per-node
+//!    counters must be bit-identical, and both drives must account for
+//!    every node-tick.
+//! 2. **Throughput floor** — the auto shard count must sustain ≥1M
+//!    node-ticks/s over its fastest 15-second chunk, raced against the
+//!    one-shard reference in interleaved chunks. A shared host's noise
+//!    stalls can span minutes and tax every chunk, so one shard racing
 //!    through the same window is the control: the gate fires only when the
-//!    sharded engine misses the floor AND loses to serial — an engine
+//!    sharded drive misses the floor AND loses to one shard — an engine
 //!    regression fails both, a noisy host neither.
 //!
 //! Flags: `--nodes 10000 --floor 1000000` (defaults shown).
@@ -33,8 +33,8 @@ fn main() {
 
     // Leg 1: determinism at a forced-wide shard count.
     let smoke_ms = 90_000u64;
-    let mut serial = longtail_fleet(nodes, false, 0, 0xabcd);
-    let mut sharded = longtail_fleet(nodes, true, 8, 0xabcd);
+    let mut serial = longtail_fleet(nodes, 1, 0xabcd);
+    let mut sharded = longtail_fleet(nodes, 8, 0xabcd);
     let t = Instant::now();
     serial.run_for(smoke_ms);
     let serial_s = t.elapsed().as_secs_f64();
@@ -44,7 +44,7 @@ fn main() {
     assert_eq!(
         serial.events.fingerprint(),
         sharded.events.fingerprint(),
-        "event-log fingerprints diverged between serial and sharded drives"
+        "event-log fingerprints diverged between one-shard and sharded drives"
     );
     let counters = |sim: &autodbaas_cloudsim::FleetSim| -> Vec<(u64, f64)> {
         sim.nodes
@@ -60,32 +60,37 @@ fn main() {
     assert_eq!(
         counters(&serial),
         counters(&sharded),
-        "per-node counters diverged between serial and sharded drives"
+        "per-node counters diverged between one-shard and sharded drives"
     );
     let expected_ticks = nodes as u64 * (smoke_ms / 1000);
+    assert_eq!(
+        serial.drive_stats(),
+        sharded.drive_stats(),
+        "drive totals diverged between one-shard and sharded drives"
+    );
     assert_eq!(
         sharded.drive_stats().node_ticks,
         expected_ticks,
         "sharded engine lost node-ticks"
     );
     outln!(
-        "determinism: {nodes} nodes x {}s, serial={serial_s:.2}s sharded({} shards)={sharded_s:.2}s — \
+        "determinism: {nodes} nodes x {}s, one shard={serial_s:.2}s sharded({} shards)={sharded_s:.2}s — \
          fingerprints, per-node counters and {expected_ticks} node-ticks all match",
         smoke_ms / 1000,
         sharded.shard_count(),
     );
 
     // Leg 2: throughput floor on auto shard resolution, raced against the
-    // serial reference in interleaved 15-second chunks. The absolute floor
-    // is the headline gate, but a shared host's noise stalls can span whole
-    // minutes and tax every chunk; the serial engine racing through the
-    // same window is the control that tells a slow host apart from a slow
-    // engine. The gate fires only when the sharded engine misses the floor
-    // AND loses to serial — a genuine engine regression fails both, a noisy
-    // host fails neither test of the engine itself.
+    // one-shard reference in interleaved 15-second chunks. The absolute
+    // floor is the headline gate, but a shared host's noise stalls can span
+    // whole minutes and tax every chunk; one shard racing through the same
+    // window is the control that tells a slow host apart from a slow
+    // engine. The gate fires only when the sharded drive misses the floor
+    // AND loses to one shard — a genuine engine regression fails both, a
+    // noisy host fails neither test of the engine itself.
     let chunk_ms = MILLIS_PER_MIN / 4;
-    let mut serial = longtail_fleet(nodes, false, 0, 0xf1ee7);
-    let mut sharded = longtail_fleet(nodes, true, 0, 0xf1ee7);
+    let mut serial = longtail_fleet(nodes, 1, 0xf1ee7);
+    let mut sharded = longtail_fleet(nodes, 0, 0xf1ee7);
     serial.run_for(chunk_ms); // warm both to the same sim time
     sharded.run_for(chunk_ms);
     let mut serial_ms = f64::MAX;
@@ -106,16 +111,16 @@ fn main() {
     let serial_tps = chunk_ticks * 1e3 / serial_ms;
     outln!(
         "throughput: fastest {}s-chunk over {rounds} interleaved rounds — \
-         sharded {tps:.0} node-ticks/s vs serial {serial_tps:.0} \
+         sharded {tps:.0} node-ticks/s vs one shard {serial_tps:.0} \
          ({} shard(s), floor {floor:.0})",
         chunk_ms / 1000,
         sharded.shard_count()
     );
     assert!(
         tps >= floor || tps >= serial_tps,
-        "sharded 10k fleet below the throughput floor AND behind the serial \
+        "sharded 10k fleet below the throughput floor AND behind the one-shard \
          reference in the same window: sharded {tps:.0} < floor {floor:.0}, \
-         serial {serial_tps:.0} — engine regression, not host noise"
+         one shard {serial_tps:.0} — engine regression, not host noise"
     );
     outln!("fleet10k_smoke: OK");
 }

@@ -13,17 +13,18 @@
 //!    but batched sweep: `BoConfig { incremental: false }`), and
 //!    `incremental` (the default). The headline number is
 //!    `legacy_ms / incremental_ms`, asserted ≥ 5×.
-//! 3. **Fleet drive** — a 48-database fleet, serial vs the sharded tick
-//!    engine, in interleaved one-minute chunks (fastest chunk per engine);
-//!    node-ticks/second plus a determinism witness (event-log fingerprint
-//!    and total queries must be bit-identical across both engines).
+//! 3. **Fleet drive** — a 48-database fleet, one shard (the `serial`
+//!    side) vs the auto shard count, in interleaved one-minute chunks
+//!    (fastest chunk per side); node-ticks/second plus a determinism
+//!    witness (event-log fingerprint and total queries must be
+//!    bit-identical across both sides).
 //! 4. **Backend drive** — a 16-database fleet per backend adapter
-//!    (page-heap and LSM) on the serial engine, recording the relative
+//!    (page-heap and LSM) on one shard, recording the relative
 //!    per-tick cost of each engine profile plus a per-backend determinism
 //!    witness (event-log fingerprint equal across a same-seed replay).
 //! 5. **Fleet scaling** — the same head-to-head over a long-tail tenant
-//!    fleet at {48, 512, 2048, 10_000} services. Fails if the sharded
-//!    engine loses to serial at ≥512 nodes or the 10k fleet drops below
+//!    fleet at {48, 512, 2048, 10_000} services. Fails if the auto shard
+//!    count loses to one shard at ≥512 nodes or the 10k fleet drops below
 //!    1M node-ticks/s.
 //! 6. **Safe tuning** — one simulated day of the fig18 rig: a guarded
 //!    and an observe-only arm cold-start a BO tuner against the
@@ -361,16 +362,16 @@ fn repeated_recommend(rounds: usize, out: &mut String) {
     ));
 }
 
-fn build_fleet(parallel: bool) -> FleetSim {
+fn build_fleet(shards: usize) -> FleetSim {
     let mut sim = FleetSim::new(
         FleetConfig {
             gate_samples_with_tde: false,
             seed: 0xf1ee7,
+            shards,
             ..FleetConfig::default()
         },
         2,
     );
-    sim.set_parallel(parallel);
     for i in 0..48 {
         let wl = tpcc(0.5);
         let catalog = wl.catalog().clone();
@@ -389,11 +390,11 @@ fn build_fleet(parallel: bool) -> FleetSim {
 }
 
 /// Stage 3: fleet ticks/second on the 48-database rig the seed regression
-/// was measured on (230 ms parallel vs 204 ms serial), serial vs the
-/// sharded engine, plus the determinism witness.
+/// was measured on (230 ms parallel vs 204 ms serial), one shard vs the
+/// auto shard count, plus the determinism witness.
 fn fleet_drive(out: &mut String) {
-    let mut serial = build_fleet(false);
-    let mut sharded = build_fleet(true);
+    let mut serial = build_fleet(1);
+    let mut sharded = build_fleet(0);
     serial.run_for(MILLIS_PER_MIN); // warm both engines and the host caches
     sharded.run_for(MILLIS_PER_MIN);
     let (serial_ms, sharded_ms) = race_engines(&mut serial, &mut sharded, MILLIS_PER_MIN, 7);
@@ -418,13 +419,14 @@ fn fleet_drive(out: &mut String) {
 }
 
 /// A 16-node single-backend fleet for the per-backend dimension; smaller
-/// than the stage-3 rig so the section stays cheap, serial engine so the
+/// than the stage-3 rig so the section stays cheap, one shard so the
 /// numbers isolate engine-profile cost from sharding.
 fn backend_fleet(flavor: DbFlavor, seed: u64) -> FleetSim {
     let mut sim = FleetSim::new(
         FleetConfig {
             gate_samples_with_tde: false,
             seed,
+            shards: 1,
             ..FleetConfig::default()
         },
         2,
@@ -489,10 +491,10 @@ fn backend_drive(out: &mut String) {
 }
 
 /// Stage 5: the fleet-size sweep (ROADMAP item 1). A long-tail tenant
-/// fleet at {48, 512, 2048, 10_000} services, serial vs sharded, one-minute
-/// interleaved chunks. Hard gates: the sharded engine must not lose to
-/// serial at ≥512 nodes, and the 10k fleet must sustain ≥1M node-ticks/s
-/// on the sharded engine. A losing/slow size gets up to two appeal rounds
+/// fleet at {48, 512, 2048, 10_000} services, one shard vs the auto shard
+/// count, one-minute interleaved chunks. Hard gates: the auto shard count
+/// must not lose to one shard at ≥512 nodes, and the 10k fleet must sustain
+/// ≥1M node-ticks/s on the auto shard count. A losing/slow size gets up to two appeal rounds
 /// of extra chunks before the gate fires, so a single noise burst on a
 /// shared host doesn't fail the bin.
 ///
@@ -519,8 +521,8 @@ fn fleet_scaling(out: &mut String) {
     let sizes = [48usize, 512, 2048, 10_000];
     for (si, &n) in sizes.iter().enumerate() {
         let reps = if n >= 2048 { 3 } else { 5 };
-        let mut serial = longtail_fleet(n, false, 0, 0xf1ee7);
-        let mut sharded = longtail_fleet(n, true, 0, 0xf1ee7);
+        let mut serial = longtail_fleet(n, 1, 0xf1ee7);
+        let mut sharded = longtail_fleet(n, 0, 0xf1ee7);
         serial.run_for(MILLIS_PER_MIN);
         sharded.run_for(MILLIS_PER_MIN);
         let (mut serial_ms, mut sharded_ms) =
@@ -547,7 +549,7 @@ fn fleet_scaling(out: &mut String) {
         if parallel_host {
             assert!(
                 n < 512 || sharded_ms <= serial_ms,
-                "sharded drive slower than serial at {n} nodes \
+                "sharded drive slower than one shard at {n} nodes \
                  ({sharded_ms:.1} ms vs {serial_ms:.1} ms)"
             );
             assert!(
@@ -558,7 +560,7 @@ fn fleet_scaling(out: &mut String) {
             assert!(
                 sharded_ms <= serial_ms * 2.0,
                 "sharded overhead ceiling breached on single-core host at {n} \
-                 nodes ({sharded_ms:.1} ms vs {serial_ms:.1} ms serial)"
+                 nodes ({sharded_ms:.1} ms vs {serial_ms:.1} ms on one shard)"
             );
         }
         out.push_str(&format!(

@@ -145,10 +145,10 @@ pub fn seed_offline(
 /// serving 2 rps of TPC-C traffic and the rest idle — the shape of a real
 /// DBaaS fleet, where a thin head of hot tenants rides on a long idle
 /// tail. `shards = 0` leaves the shard count to auto resolution; a
-/// positive value pins it (the determinism smokes force it wide).
-/// Deterministic for a given `seed` and engine, and bit-identical across
-/// engines and shard counts.
-pub fn longtail_fleet(n: usize, parallel: bool, shards: usize, seed: u64) -> FleetSim {
+/// positive value pins it (the determinism smokes force it wide, the
+/// races pin one shard as the reference). Deterministic for a given
+/// `seed`, and bit-identical across shard counts.
+pub fn longtail_fleet(n: usize, shards: usize, seed: u64) -> FleetSim {
     let mut sim = FleetSim::new(
         FleetConfig {
             seed,
@@ -157,7 +157,6 @@ pub fn longtail_fleet(n: usize, parallel: bool, shards: usize, seed: u64) -> Fle
         },
         2,
     );
-    sim.set_parallel(parallel);
     let proto = tpcc(0.5);
     let catalog = proto.catalog().clone();
     for i in 0..n {
@@ -180,14 +179,15 @@ pub fn longtail_fleet(n: usize, parallel: bool, shards: usize, seed: u64) -> Fle
     sim
 }
 
-/// One interleaved serial-vs-sharded comparison over two lockstep sims.
+/// One interleaved one-shard-vs-sharded comparison over two lockstep sims.
 ///
-/// Both engines are bit-identical, so after every chunk the two sims are in
-/// the same simulated state and each chunk measures the same work. Chunks
-/// alternate which engine runs first (a shared host's slow phases cannot
-/// systematically tax one side) and each side reports its *fastest* chunk —
-/// the least-interference estimate of its true cost. Returns
-/// `(serial_ms, sharded_ms)` per chunk; panics if the engines diverge.
+/// Every shard count is bit-identical, so after every chunk the two sims
+/// are in the same simulated state and each chunk measures the same work.
+/// Chunks alternate which side runs first (a shared host's slow phases
+/// cannot systematically tax one side) and each side reports its *fastest*
+/// chunk — the least-interference estimate of its true cost. `serial` is
+/// the one-shard reference. Returns `(serial_ms, sharded_ms)` per chunk;
+/// panics if the two diverge.
 pub fn race_engines(
     serial: &mut FleetSim,
     sharded: &mut FleetSim,
@@ -214,13 +214,13 @@ pub fn race_engines(
     assert_eq!(
         serial.events.fingerprint(),
         sharded.events.fingerprint(),
-        "sharded drive must be bit-identical to serial"
+        "sharded drive must be bit-identical to one shard"
     );
     let q = |sim: &FleetSim| -> u64 { sim.nodes.iter().map(|n| n.queries_submitted).sum() };
     assert_eq!(
         q(serial),
         q(sharded),
-        "engines diverged on accepted queries"
+        "shard counts diverged on accepted queries"
     );
     (serial_best, sharded_best)
 }

@@ -10,9 +10,9 @@
 //!   recommendation completions, TDE-gated sample capture, both tuner
 //!   backends, and the self-healing control plane (failover, crash
 //!   recovery, retry/backoff, reconciliation, safe rollback);
-//! * [`shard`] — the persistent sharded tick engine: long-lived worker
-//!   shards behind a generation barrier, bit-identical to the serial drive
-//!   for any shard count;
+//! * [`shard`] — the fleet's one tick engine: long-lived worker shards
+//!   behind a generation barrier, bit-identical for any shard count (one
+//!   shard is the plain serial loop);
 //! * [`faults`] — the deterministic seeded chaos engine driving the
 //!   robustness experiments (Fig. 16);
 //! * [`plan`] — interaction plans: the scenario simulator's superset of

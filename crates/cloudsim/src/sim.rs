@@ -50,25 +50,15 @@ pub struct FleetConfig {
     pub apply_recommendations: bool,
     /// Master seed.
     pub seed: u64,
-    /// Shard count for the sharded tick engine ([`FleetSim::set_parallel`]):
-    /// `0` resolves automatically — [`drive_threads`](Self::drive_threads)
-    /// if set, else the machine's available parallelism, capped so no shard
-    /// owns fewer than [`parallel_threshold`](Self::parallel_threshold)
-    /// nodes. An explicit count is taken as-is (clamped to `[1, nodes]`),
-    /// cap skipped. Shard 0 runs on the stepping thread itself, so one
-    /// shard is exactly the serial loop.
-    pub shards: usize,
-    /// Minimum nodes per worker shard under automatic shard resolution —
-    /// below this the coordination overhead exceeds the win. Ignored when
-    /// [`shards`](Self::shards) is explicit.
-    pub parallel_threshold: usize,
-    /// Automatic shard resolution's thread budget; `0` means "use the
-    /// machine's available parallelism". Node order and RNG streams are
-    /// per-node, so serial and sharded drives produce bit-identical fleets
-    /// for any shard count (pinned by
-    /// `parallel_drive_is_deterministic_and_equivalent` and the
+    /// Shard count of the tick engine: `0` resolves automatically to the
+    /// machine's available parallelism, capped so no shard owns fewer than
+    /// 8 nodes. An explicit count is taken as-is
+    /// (clamped to `[1, nodes]`), cap skipped. Shard 0 runs on the stepping
+    /// thread itself, so one shard is the plain serial loop. Node order and
+    /// RNG streams are per-node, so every shard count produces bit-identical
+    /// fleets (pinned by `any_shard_count_drives_the_same_fleet` and the
     /// `serial_and_sharded_fleets_are_bit_identical` property test).
-    pub drive_threads: usize,
+    pub shards: usize,
     /// How long past its promised `ready_at` a tuning request may wait for
     /// its recommendation before the node gives up and retries. Counted
     /// from `ready_at` (not submission) so director backlog under
@@ -109,6 +99,10 @@ impl Default for RollbackPolicy {
     }
 }
 
+/// Minimum nodes per worker shard under automatic shard resolution — below
+/// this the barrier costs more than the shard contributes.
+const AUTO_MIN_NODES_PER_SHARD: usize = 8;
+
 impl Default for FleetConfig {
     fn default() -> Self {
         Self {
@@ -121,8 +115,6 @@ impl Default for FleetConfig {
             apply_recommendations: true,
             seed: 0,
             shards: 0,
-            parallel_threshold: 8,
-            drive_threads: 0,
             request_timeout_ms: 5 * 60 * 1_000,
             retry_base_ms: 30_000,
             retry_max_attempts: 6,
@@ -196,8 +188,8 @@ pub struct FleetSim {
     /// Due tuning responses: (ready_at, node, request seq). The seq lets a
     /// late response for an already-retried request be dropped as stale.
     pending: BinaryHeap<Reverse<(SimTime, usize, u64)>>,
-    /// Persistent sharded tick engine; built lazily on the first sharded
-    /// step and rebuilt when the fleet size or shard count changes.
+    /// Persistent sharded tick engine; built lazily on the first step and
+    /// rebuilt when the fleet size or resolved shard count changes.
     pool: Option<ShardPool>,
     /// SoA per-node due times gating the control scan and recovery flush.
     hot: HotState,
@@ -205,8 +197,7 @@ pub struct FleetSim {
     /// `available_parallelism` reads procfs/cgroup state (~12µs a call) —
     /// per tick that dwarfs small fleets, so it is resolved exactly once.
     thread_budget: Option<usize>,
-    /// Fleet drive totals merged from the shard outputs (sharded drives
-    /// only; the serial engine is the untouched reference path).
+    /// Fleet drive totals merged from the shard outputs every tick.
     drive_stats: DriveStats,
     /// Reusable scratch for the per-tick chaos drain.
     fault_scratch: Vec<FaultEvent>,
@@ -217,7 +208,6 @@ pub struct FleetSim {
     now: SimTime,
     last_tde_run: SimTime,
     rng: StdRng,
-    parallel: bool,
     /// Safe-tuning governor ([`FleetSim::enable_safety`]); `None` leaves
     /// every existing run's fingerprint untouched.
     safety: Option<SafetyGovernor>,
@@ -265,7 +255,6 @@ impl FleetSim {
             window_scratch: Vec::new(),
             now: 0,
             last_tde_run: 0,
-            parallel: false,
             safety: None,
         }
     }
@@ -376,13 +365,6 @@ impl FleetSim {
             .collect()
     }
 
-    /// Drive the fleet's per-tick traffic on the sharded tick engine:
-    /// persistent worker shards behind a generation barrier (see
-    /// [`crate::shard`]), with the control scan gated by the SoA hot state.
-    /// Per-node determinism is unchanged (each node owns its RNG) and the
-    /// shard merge order equals the serial order, so results are
-    /// bit-identical to the serial engine; only wall-clock speed differs.
-    /// Off by default.
     /// Arm the OnlineTune-style safety layer: every tenant gets a safe
     /// region seeded at its current config, and every tuner candidate is
     /// clamped into it before the vetted apply. Late-joining nodes are
@@ -404,23 +386,16 @@ impl FleetSim {
         self.safety.as_ref()
     }
 
-    pub fn set_parallel(&mut self, on: bool) {
-        self.parallel = on;
-        if !on {
-            self.pool = None; // joins the workers
-        }
-    }
-
     /// Fleet drive totals (node-ticks, accepted queries, down node-ticks)
-    /// accumulated by the sharded engine. Zero while driving serially.
+    /// accumulated by the tick engine.
     pub fn drive_stats(&self) -> DriveStats {
         self.drive_stats
     }
 
-    /// Shard count of the live pool (1 when driving serially or before the
-    /// first sharded step builds the pool). Benchmarks report this next to
-    /// wall-clock numbers so a figure regenerated on a different machine
-    /// records how wide the drive actually ran.
+    /// Shard count of the live pool (1 before the first step builds it).
+    /// Benchmarks report this next to wall-clock numbers so a figure
+    /// regenerated on a different machine records how wide the drive
+    /// actually ran.
     pub fn shard_count(&self) -> usize {
         self.pool.as_ref().map_or(1, |p| p.shards())
     }
@@ -540,23 +515,16 @@ impl FleetSim {
 
         // 0b. Interaction plan: revert ended bursts, then deliver every
         // scheduled interaction that came due this tick. Both run before
-        // the traffic phase, so a serial and a sharded drive of the same
-        // plan see identical node state at every tick.
+        // the traffic phase, so drives of the same plan at any shard count
+        // see identical node state at every tick.
         if !self.burst_revert.is_empty() || self.plan.is_some() {
             self.plan_tick();
         }
 
-        // 1. Traffic. Databases are independent within a tick. The sharded
-        // engine partitions them once over persistent worker shards (shard
-        // 0 is this thread); the serial engine is the untouched reference
-        // loop the property tests compare against.
-        if self.parallel {
-            self.drive_sharded();
-        } else {
-            for node in &mut self.nodes {
-                node.drive(self.cfg.tick_ms);
-            }
-        }
+        // 1. Traffic. Databases are independent within a tick; the shard
+        // pool partitions them once over persistent worker shards (shard 0
+        // is this thread).
+        self.drive_traffic();
 
         // 2. Crash recoveries that completed this tick.
         self.flush_recoveries();
@@ -596,7 +564,7 @@ impl FleetSim {
         }
     }
 
-    /// Shard count the sharded engine should run with right now.
+    /// Shard count the tick engine should run with right now.
     fn resolve_shards(&mut self) -> usize {
         let n = self.nodes.len();
         if n == 0 {
@@ -608,25 +576,17 @@ impl FleetSim {
             // shard counts far beyond what auto resolution would pick.
             return self.cfg.shards.min(n);
         }
-        let budget = if self.cfg.drive_threads > 0 {
-            self.cfg.drive_threads
-        } else {
-            *self.thread_budget.get_or_insert_with(|| {
-                std::thread::available_parallelism()
-                    .map(|p| p.get())
-                    .unwrap_or(4)
-            })
-        };
-        // Never give a worker shard fewer than `parallel_threshold` nodes:
-        // below that the barrier costs more than the shard contributes.
-        budget
-            .min(n.div_ceil(self.cfg.parallel_threshold.max(1)))
-            .max(1)
+        let budget = *self.thread_budget.get_or_insert_with(|| {
+            std::thread::available_parallelism()
+                .map(|p| p.get())
+                .unwrap_or(4)
+        });
+        budget.min(n.div_ceil(AUTO_MIN_NODES_PER_SHARD)).max(1)
     }
 
-    /// Drive one tick on the sharded engine, (re)building the pool when the
-    /// fleet size or resolved shard count changed.
-    fn drive_sharded(&mut self) {
+    /// Drive one tick of traffic on the shard pool, (re)building the pool
+    /// when the fleet size or resolved shard count changed.
+    fn drive_traffic(&mut self) {
         let want = self.resolve_shards();
         let stale = self
             .pool
@@ -643,22 +603,11 @@ impl FleetSim {
         self.drive_stats.accumulate(&tick);
     }
 
-    /// Recompute node `idx`'s SoA control-due entry: the earliest of its
-    /// in-flight deadline, retry time, and parked-apply time. Called after
-    /// every mutation of those fields so the entry is always a valid lower
+    /// Recompute node `idx`'s SoA control-due entry. Called after every
+    /// mutation of its control fields so the entry is always a valid lower
     /// bound for the gated control scan.
     fn refresh_hot(&mut self, idx: usize) {
-        let node = &self.nodes[idx];
-        let mut due = u64::MAX;
-        if let Some(req) = node.in_flight {
-            due = due.min(req.deadline);
-        }
-        if let Some(at) = node.retry_at {
-            due = due.min(at);
-        }
-        if let Some(d) = &node.deferred_apply {
-            due = due.min(d.next_try_at);
-        }
+        let due = control_due_of(&self.nodes[idx]);
         self.hot.set_control_due(idx, due);
     }
 
@@ -870,22 +819,20 @@ impl FleetSim {
     /// exponential-backoff retries, fire due retries, and re-attempt
     /// lag-deferred applies.
     ///
-    /// The sharded engine gates each node behind its SoA due time — a node
-    /// whose earliest possible action lies in the future is provably a
-    /// no-op, so the scan walks one dense `u64` per node instead of the
-    /// node structs. The serial engine keeps the legacy full scan; both
-    /// visit actionable nodes in the same ascending order, so the emitted
-    /// events (and therefore the log fingerprint) are identical.
+    /// Each node is gated behind its SoA due time — a node whose earliest
+    /// possible action lies in the future is provably a no-op, so the scan
+    /// walks one dense `u64` per node instead of the node structs. Debug
+    /// builds check that lower-bound invariant for every node the gate
+    /// skips.
     fn control_scan(&mut self) {
-        if self.parallel {
-            for idx in 0..self.nodes.len() {
-                if self.hot.control_due(idx) <= self.now {
-                    self.control_node(idx);
-                }
-            }
-        } else {
-            for idx in 0..self.nodes.len() {
+        for idx in 0..self.nodes.len() {
+            if self.hot.control_due(idx) <= self.now {
                 self.control_node(idx);
+            } else {
+                debug_assert!(
+                    self.hot.control_due(idx) <= control_due_of(&self.nodes[idx]),
+                    "hot state skipped node {idx} past its control due time"
+                );
             }
         }
     }
@@ -1347,6 +1294,22 @@ impl FleetSim {
     }
 }
 
+/// Node's true earliest control-due time: the earliest of its in-flight
+/// deadline, retry time and parked-apply time (`u64::MAX` = nothing due).
+fn control_due_of(node: &ManagedDatabase) -> u64 {
+    let mut due = u64::MAX;
+    if let Some(req) = node.in_flight {
+        due = due.min(req.deadline);
+    }
+    if let Some(at) = node.retry_at {
+        due = due.min(at);
+    }
+    if let Some(d) = &node.deferred_apply {
+        due = due.min(d.next_try_at);
+    }
+    due
+}
+
 use autodbaas_snapshot::{
     snap_struct, FrameReader, FrameWriter, Snap, SnapError, SnapReader, SnapWriter,
 };
@@ -1366,8 +1329,6 @@ snap_struct!(FleetConfig {
     apply_recommendations,
     seed,
     shards,
-    parallel_threshold,
-    drive_threads,
     request_timeout_ms,
     retry_base_ms,
     retry_max_attempts,
@@ -1406,7 +1367,7 @@ impl Snap for TunerBackend {
 // The fleet's complete deterministic state. Scratch that the next tick
 // rebuilds (shard pool threads, thread-budget cache, drain buffers) is
 // deliberately absent: a restored fleet re-resolves them lazily, exactly
-// as a freshly built one does, so serial/sharded equivalence carries over.
+// as a freshly built one does, so shard-count equivalence carries over.
 // `recovery_due` holds `&'static str` labels and round-trips through the
 // bounded telemetry interner.
 impl Snap for FleetSim {
@@ -1436,7 +1397,6 @@ impl Snap for FleetSim {
         self.now.encode(w);
         self.last_tde_run.encode(w);
         self.rng.encode(w);
-        self.parallel.encode(w);
         self.safety.encode(w);
     }
     fn decode(r: &mut SnapReader) -> Result<Self, SnapError> {
@@ -1467,7 +1427,6 @@ impl Snap for FleetSim {
         let now = SimTime::decode(r)?;
         let last_tde_run = SimTime::decode(r)?;
         let rng = Snap::decode(r)?;
-        let parallel = bool::decode(r)?;
         let safety = Option::<SafetyGovernor>::decode(r)?;
         Ok(FleetSim {
             cfg,
@@ -1495,7 +1454,6 @@ impl Snap for FleetSim {
             now,
             last_tde_run,
             rng,
-            parallel,
             safety,
         })
     }
@@ -1662,19 +1620,18 @@ mod tests {
     }
 
     #[test]
-    fn parallel_drive_is_deterministic_and_equivalent() {
+    fn any_shard_count_drives_the_same_fleet() {
         // `shards: 4` forces real worker threads even on a single-core
-        // machine, where auto resolution would fall back to one shard.
-        let build = |shards: Option<usize>| {
+        // machine, where auto resolution (`0`) would fall back to one shard.
+        let build = |shards: usize| {
             let mut sim = FleetSim::new(
                 FleetConfig {
                     gate_samples_with_tde: false,
-                    shards: shards.unwrap_or(0),
+                    shards,
                     ..FleetConfig::default()
                 },
                 2,
             );
-            sim.set_parallel(shards.is_some());
             for i in 0..10 {
                 sim.add_node(
                     make_node(TuningPolicy::TdeDriven, 100 + i),
@@ -1691,22 +1648,18 @@ mod tests {
                 sim.drive_stats(),
             )
         };
-        let serial = build(None);
-        assert_eq!(serial.2, crate::shard::DriveStats::default());
-        for shards in [1, 4] {
-            let sharded = build(Some(shards));
-            assert_eq!(serial.0, sharded.0, "sharding must not change results");
-            assert_eq!(serial.1, sharded.1, "event logs must match");
-            assert_eq!(
-                sharded.2.node_ticks,
-                10 * 5 * 60,
-                "sharded drives meter node-ticks"
-            );
-            assert_eq!(
-                sharded.2.submitted,
-                sharded.0.iter().sum::<u64>(),
-                "merged submit totals must equal the per-node counters"
-            );
+        let one = build(1);
+        assert_eq!(one.2.node_ticks, 10 * 5 * 60, "drives meter node-ticks");
+        assert_eq!(
+            one.2.submitted,
+            one.0.iter().sum::<u64>(),
+            "merged submit totals must equal the per-node counters"
+        );
+        for shards in [0, 4] {
+            let sharded = build(shards);
+            assert_eq!(one.0, sharded.0, "sharding must not change results");
+            assert_eq!(one.1, sharded.1, "event logs must match");
+            assert_eq!(one.2, sharded.2, "drive totals must match");
         }
     }
 
@@ -1750,17 +1703,16 @@ mod tests {
                 },
             ]
         };
-        let build = |shards: Option<usize>| {
+        let build = |shards: usize| {
             let mut sim = FleetSim::new(
                 FleetConfig {
                     gate_samples_with_tde: false,
-                    shards: shards.unwrap_or(0),
+                    shards,
                     rollback: Some(RollbackPolicy::default()),
                     ..FleetConfig::default()
                 },
                 2,
             );
-            sim.set_parallel(shards.is_some());
             for i in 0..6 {
                 sim.add_node(
                     make_node(TuningPolicy::TdeDriven, 200 + i),
@@ -1771,8 +1723,8 @@ mod tests {
             sim.run_for(6 * MILLIS_PER_MIN);
             sim
         };
-        let serial = build(None);
-        assert_eq!(serial.plan_remaining(), 0);
+        let one = build(1);
+        assert_eq!(one.plan_remaining(), 0);
         for label in [
             "plan.burst",
             "plan.burst_end",
@@ -1782,21 +1734,20 @@ mod tests {
             "plan.maintenance",
             "plan.replica_remove",
         ] {
-            assert_eq!(serial.events.count(label), 1, "{label}");
+            assert_eq!(one.events.count(label), 1, "{label}");
         }
         // The VmCrash at 60s hits a service that grew a replica at 45s, so
         // it fails over instead of going fully down; the replica-less
         // maintenance restart on node 3 must cost real downtime.
-        assert_eq!(serial.events.count("recover.failover"), 1);
-        assert!(serial.nodes[3].down_ticks > 0);
-        assert_eq!(serial.nodes[1].service.n_slaves(), 0, "removed at 150s");
+        assert_eq!(one.events.count("recover.failover"), 1);
+        assert!(one.nodes[3].down_ticks > 0);
+        assert_eq!(one.nodes[1].service.n_slaves(), 0, "removed at 150s");
         // The burst tripled node 0's arrivals for a minute.
-        assert!(serial.nodes[0].queries_submitted > serial.nodes[4].queries_submitted);
-        // Bit-identical under the sharded tick engine.
-        let sharded = build(Some(3));
+        assert!(one.nodes[0].queries_submitted > one.nodes[4].queries_submitted);
+        // Bit-identical on three shards.
+        let sharded = build(3);
         assert_eq!(
-            serial
-                .nodes
+            one.nodes
                 .iter()
                 .map(|n| n.queries_submitted)
                 .collect::<Vec<_>>(),
@@ -1806,7 +1757,7 @@ mod tests {
                 .map(|n| n.queries_submitted)
                 .collect::<Vec<_>>()
         );
-        assert_eq!(serial.events.fingerprint(), sharded.events.fingerprint());
+        assert_eq!(one.events.fingerprint(), sharded.events.fingerprint());
     }
 
     #[test]

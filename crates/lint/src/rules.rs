@@ -301,9 +301,9 @@ D004 — float reduction in thread-spawning files
 
 Float addition is not associative: summing per-chunk partials in a file
 that partitions work across threads gives results that depend on chunk
-count, so `drive_threads = 4` and `= 8` diverge in the low bits — which
-the fleet drive's thread-count-invariance test will catch only long
-after the PR landed. This rule flags `sum::<f32|f64>()` turbofish
+count, so `shards = 4` and `= 8` diverge in the low bits — which the
+fleet drive's shard-count-invariance test will catch only long after
+the PR landed. This rule flags `sum::<f32|f64>()` turbofish
 reductions and `fold(0.0, …)` float folds in any order-sensitive-crate
 file that also spawns threads.
 

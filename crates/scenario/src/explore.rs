@@ -53,8 +53,8 @@ pub fn explore_seed(profile: &Profile, seed: u64, doublecheck: bool) -> SeedVerd
 /// re-runs the candidate plan under the same `(profile, seed)` and asks
 /// whether that property still fails. The twins only run when the
 /// property under shrink is one of the identity oracles — every other
-/// property is serial-observable, and the twins would triple the probe
-/// cost.
+/// property is observable on the primary run, and the twins would triple
+/// the probe cost.
 pub fn shrink_violation(
     profile: &Profile,
     plan: &InteractionPlan,

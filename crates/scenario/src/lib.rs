@@ -9,12 +9,12 @@
 //!   `diurnal-heavy`, `failover-storm`);
 //! * [`gen`] — seeded generation of interaction plans (bursts, knob
 //!   pushes, faults, maintenance, replica churn) from a profile's dice;
-//! * [`run`] — drive a plan through the real [`FleetSim`] — serially,
-//!   again on the sharded tick engine, and again interrupted by a
-//!   mid-plan save/restore, as doublecheck twins;
+//! * [`run`] — drive a plan through the real [`FleetSim`] — on one shard,
+//!   again on several shards, and again interrupted by a mid-plan
+//!   save/restore, as doublecheck twins;
 //! * [`oracle`] — the named property catalog: availability floor, no
 //!   wedged services, rollback-guard correctness, tuner-sample hygiene,
-//!   serial-vs-sharded identity, snapshot identity;
+//!   one-shard-vs-sharded identity, snapshot identity;
 //! * [`shrink`] — deterministic delta-debugging to a 1-minimal
 //!   counterexample;
 //! * [`bugbase`] — shrunk counterexamples persisted as TOML files that a

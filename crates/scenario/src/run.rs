@@ -4,10 +4,10 @@
 //! The harness mirrors the chaos-recovery integration tests: 1 s ticks,
 //! 1-minute TDE windows, the RL backend (fixed 50 ms service time, so
 //! request timing is exact), TDE-gated sample capture and the OnlineTune
-//! rollback guard armed. In doublecheck mode the same plan runs three
-//! times — once on the serial tick engine, once sharded, and once
-//! interrupted by a mid-plan save/restore — and the extra event logs feed
-//! the serial-vs-sharded and snapshot identity oracles.
+//! rollback guard armed. The primary run drives the fleet on one shard. In
+//! doublecheck mode the same plan runs twice more — once on four shards,
+//! and once on one shard interrupted by a mid-plan save/restore — and the
+//! extra event logs feed the sharded and snapshot identity oracles.
 
 use crate::profile::Profile;
 use autodbaas_cloudsim::{FleetConfig, FleetSim, InteractionPlan, ManagedDatabase, RollbackPolicy};
@@ -20,7 +20,7 @@ use autodbaas_workload::{tpcc, ArrivalProcess};
 
 /// Shards forced in doublecheck mode: real worker threads even on a
 /// single-core machine, where auto resolution would pick one shard and the
-/// identity oracle would compare the serial engine against itself.
+/// identity oracle would compare the one-shard drive against itself.
 const DOUBLECHECK_SHARDS: usize = 4;
 
 /// Quiesce-then-audit settle phase appended after the profile's duration:
@@ -45,21 +45,21 @@ pub struct RunOutcome {
     /// Low-quality samples that reached the repository from *online*
     /// workloads (the run captures TDE-gated, so this must be zero).
     pub online_low_samples: usize,
-    /// Event-log fingerprint of the serial run.
+    /// Event-log fingerprint of the primary (one-shard) run.
     pub fingerprint_serial: u64,
     /// Event-log fingerprint of the sharded run (doublecheck mode only).
     pub fingerprint_sharded: Option<u64>,
-    /// Per-node submitted-query counters, serial then sharded.
+    /// Per-node submitted-query counters of the primary (one-shard) run.
     pub queries_serial: Vec<u64>,
     /// Sharded counterpart of [`RunOutcome::queries_serial`].
     pub queries_sharded: Option<Vec<u64>>,
-    /// Event-log fingerprint of the save/restore twin — the same serial
+    /// Event-log fingerprint of the save/restore twin — the same one-shard
     /// run interrupted mid-plan by a snapshot round trip (doublecheck mode
     /// only).
     pub fingerprint_resumed: Option<u64>,
     /// Save/restore counterpart of [`RunOutcome::queries_serial`].
     pub queries_resumed: Option<Vec<u64>>,
-    /// Rollbacks the safety guard fired during the (serial) run.
+    /// Rollbacks the safety guard fired during the primary run.
     pub rollbacks: u64,
     /// Per-node write-stall exposure of every LSM master, as a fraction of
     /// the full run (duration + settle). Empty on all-page-heap fleets, so
@@ -104,7 +104,7 @@ fn armed_fleet(profile: &Profile, plan: &InteractionPlan, seed: u64, sharded: bo
             tde_period_ms: MILLIS_PER_MIN,
             tuner: TunerKind::Rl,
             seed,
-            shards: if sharded { DOUBLECHECK_SHARDS } else { 0 },
+            shards: if sharded { DOUBLECHECK_SHARDS } else { 1 },
             request_timeout_ms: 30_000,
             retry_base_ms: 5_000,
             rollback: Some(RollbackPolicy::default()),
@@ -112,7 +112,6 @@ fn armed_fleet(profile: &Profile, plan: &InteractionPlan, seed: u64, sharded: bo
         },
         2,
     );
-    sim.set_parallel(sharded);
     for i in 0..profile.n_nodes {
         sim.add_node(
             managed_node(profile, i, seed ^ (i as u64 + 1).wrapping_mul(0x9e3779b9)),
@@ -140,7 +139,7 @@ fn run_once(profile: &Profile, plan: &InteractionPlan, seed: u64, sharded: bool)
     sim
 }
 
-/// The serial run again, but interrupted halfway through the plan by a
+/// The primary run again, but interrupted halfway through the plan by a
 /// full snapshot round trip — serialize, drop the live fleet, restore
 /// from bytes, continue. The plan generator places events up to 75% of
 /// the duration, so the split lands with live plan state (a cursor into
@@ -169,10 +168,10 @@ pub fn run_plan(
     seed: u64,
     doublecheck: bool,
 ) -> RunOutcome {
-    let serial = run_once(profile, plan, seed, false);
-    let (_, low_online) = serial.repo.online_quality_counts();
+    let primary = run_once(profile, plan, seed, false);
+    let (_, low_online) = primary.repo.online_quality_counts();
     let run_ms = (profile.duration_ms + SETTLE_MS) as f64;
-    let lsm_stall_frac = serial
+    let lsm_stall_frac = primary
         .nodes
         .iter()
         .enumerate()
@@ -182,16 +181,16 @@ pub fn run_plan(
         })
         .collect();
     let mut outcome = RunOutcome {
-        availability: serial.availability(),
-        wedged: serial.wedged_nodes(),
-        drifted: serial.drifted_nodes(),
-        guards_armed: serial.guard_armed_nodes(),
+        availability: primary.availability(),
+        wedged: primary.wedged_nodes(),
+        drifted: primary.drifted_nodes(),
+        guards_armed: primary.guard_armed_nodes(),
         online_low_samples: low_online,
-        fingerprint_serial: serial.events.fingerprint(),
+        fingerprint_serial: primary.events.fingerprint(),
         fingerprint_sharded: None,
-        queries_serial: serial.nodes.iter().map(|n| n.queries_submitted).collect(),
+        queries_serial: primary.nodes.iter().map(|n| n.queries_submitted).collect(),
         queries_sharded: None,
-        rollbacks: serial.events.count("tune.rollback") as u64,
+        rollbacks: primary.events.count("tune.rollback") as u64,
         lsm_stall_frac,
         fingerprint_resumed: None,
         queries_resumed: None,

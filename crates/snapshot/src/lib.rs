@@ -36,7 +36,7 @@ pub const MAGIC: [u8; 8] = *b"ADBSNAP1";
 
 /// Snapshot format version. Bump on any layout change; readers reject
 /// mismatches with [`SnapError::UnsupportedVersion`].
-pub const VERSION: u32 = 1;
+pub const VERSION: u32 = 2;
 
 /// Reserved tag closing every snapshot file; its payload is the running
 /// FNV-1a hash of all preceding bytes.
@@ -1011,12 +1011,20 @@ mod tests {
             FrameReader::new(&wrong_magic).err(),
             Some(SnapError::BadMagic)
         );
-        let mut wrong_version = bytes;
+        let mut wrong_version = bytes.clone();
         wrong_version[8] = 0xfe;
         assert!(matches!(
             FrameReader::new(&wrong_version).err(),
             Some(SnapError::UnsupportedVersion(_))
         ));
+        // A version-1 file (the layout before the fleet dropped its engine
+        // switch and two shard knobs) is refused, not misread.
+        let mut v1 = bytes;
+        v1[8..12].copy_from_slice(&1u32.to_le_bytes());
+        assert_eq!(
+            FrameReader::new(&v1).err(),
+            Some(SnapError::UnsupportedVersion(1))
+        );
     }
 
     #[test]

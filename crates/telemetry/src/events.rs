@@ -9,8 +9,10 @@
 //! provides that as an append-only, deterministic event log.
 
 use crate::SimTime;
+use autodbaas_snapshot::{fnv1a, fnv1a_start};
 
-/// Streaming FNV-1a hasher over arbitrary byte chunks.
+/// Streaming FNV-1a hasher over arbitrary byte chunks, built on the
+/// snapshot codec's [`fnv1a`] so the workspace has one 64-bit FNV-1a.
 ///
 /// One fingerprint definition serves every bit-for-bit comparison in the
 /// workspace: [`EventLog::fingerprint`] pins chaos-run reproducibility, and
@@ -38,24 +40,16 @@ pub struct Fingerprint {
 }
 
 impl Fingerprint {
-    /// FNV-1a offset basis.
-    const OFFSET: u64 = 0xcbf29ce484222325;
-    /// FNV-1a prime.
-    const PRIME: u64 = 0x100000001b3;
-
     /// Fresh hasher at the FNV-1a offset basis.
     pub fn new() -> Self {
         Self {
-            state: Self::OFFSET,
+            state: fnv1a_start(),
         }
     }
 
     /// Absorb a byte chunk.
     pub fn mix(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.state ^= b as u64;
-            self.state = self.state.wrapping_mul(Self::PRIME);
-        }
+        self.state = fnv1a(self.state, bytes);
     }
 
     /// Absorb a `u64` in little-endian byte order.

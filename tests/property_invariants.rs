@@ -323,10 +323,10 @@ fn fleet_node(seed: u64) -> ManagedDatabase {
 }
 
 proptest! {
-    // The sharded tick engine must be invisible: for ANY fleet size, ANY
-    // shard count (clamping included) and ANY seeded chaos plan, the
-    // sharded drive produces the same event-log fingerprint and the same
-    // per-node counters as the serial reference engine, bit for bit.
+    // Sharding must be invisible: for ANY fleet size, ANY shard count
+    // (clamping included) and ANY seeded chaos plan, the sharded drive
+    // produces the same event-log fingerprint, per-node counters and drive
+    // totals as the one-shard (serial) drive, bit for bit.
     #[test]
     fn serial_and_sharded_fleets_are_bit_identical(
         n_nodes in 1usize..7,
@@ -356,16 +356,15 @@ proptest! {
                 },
             })
             .collect();
-        let run = |sharded: bool| {
+        let run = |shards: usize| {
             let mut sim = FleetSim::new(
                 FleetConfig {
                     gate_samples_with_tde: false,
-                    shards: if sharded { shards } else { 0 },
+                    shards,
                     ..FleetConfig::default()
                 },
                 2,
             );
-            sim.set_parallel(sharded);
             for i in 0..n_nodes {
                 sim.add_node(fleet_node(seed * 1000 + i as u64), &format!("db-{i}"));
             }
@@ -383,11 +382,12 @@ proptest! {
                 .collect();
             (sim.events.fingerprint(), metrics, sim.drive_stats())
         };
-        let serial = run(false);
-        let sharded_run = run(true);
-        prop_assert_eq!(serial.0, sharded_run.0, "event fingerprints diverged");
-        prop_assert_eq!(serial.1, sharded_run.1, "per-node metrics diverged");
-        // The sharded engine also meters the drive it performed.
+        let one = run(1);
+        let sharded_run = run(shards);
+        prop_assert_eq!(one.0, sharded_run.0, "event fingerprints diverged");
+        prop_assert_eq!(one.1, sharded_run.1, "per-node metrics diverged");
+        prop_assert_eq!(one.2, sharded_run.2, "drive totals diverged");
+        // The engine meters the drive it performed.
         prop_assert_eq!(sharded_run.2.node_ticks, n_nodes as u64 * 2 * MIN / 1_000);
     }
 }
