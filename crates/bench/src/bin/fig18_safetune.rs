@@ -162,6 +162,9 @@ fn main() {
     }
 
     let (guarded, unguarded) = load_fleet_pair(&path).expect("final checkpoint");
+    let pair_bytes = std::fs::metadata(&path)
+        .expect("final checkpoint size")
+        .len();
     std::fs::remove_file(&path).ok();
     assert_eq!(guarded.now(), total_ms);
     assert_eq!(unguarded.now(), total_ms);
@@ -197,6 +200,11 @@ fn main() {
         us.worst_shortfall()
     );
     outln!("{:<38} {:>14} {:>14}", "process segments", spawned, spawned);
+    outln!(
+        "{:<38} {:>29}",
+        "final pair-file size (bytes, both)",
+        pair_bytes
+    );
     outln!(
         "recommendations by backend (guarded): pageheap {g_ph}, lsm {g_lsm}, unattributed {g_un}"
     );

@@ -728,7 +728,7 @@ mod tests {
             run_queries(&mut d, &q, 10);
         }
         let _ = tde.run(&mut d, None);
-        // Indirect check: visited history grows only on MDP runs.
+        // The MDP engine is still wired to the node's planner knobs.
         assert!(tde.mdp().knob_count() > 0);
     }
 

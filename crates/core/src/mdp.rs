@@ -11,8 +11,9 @@
 //! rewards the action and raises a throttle — the knob is demonstrably
 //! sub-optimal, so the tuner should be asked for a real recommendation.
 //!
-//! The MDP 5-tuple {Q, A, B, N, H}: `Q` is the set of knob values visited
-//! (tracked per automaton), `A` = {increase, decrease}, `B` the cost/benefit
+//! The MDP 5-tuple {Q, A, B, N, H}: `Q` is the set of knob values reachable
+//! by unit steps (the current one lives in the knob set, so an automaton
+//! keeps no history), `A` = {increase, decrease}, `B` the cost/benefit
 //! response, `N` the value transition (apply the step), `H` the probability
 //! update below.
 
@@ -47,7 +48,6 @@ struct KnobAutomaton {
     knob: KnobId,
     p_increase: f64,
     step: f64,
-    visited: Vec<f64>,
 }
 
 /// Hyper-parameters of the engine.
@@ -102,7 +102,6 @@ impl MdpEngine {
                     knob: id,
                     p_increase: 0.5,
                     step: (spec.max - spec.min) / 20.0,
-                    visited: Vec::new(),
                 }
             })
             .collect();
@@ -195,8 +194,7 @@ impl MdpEngine {
                 MdpAction::Increase => old + a.step,
                 MdpAction::Decrease => old - a.step,
             };
-            let new = knobs.set(&profile, a.knob, proposed);
-            a.visited.push(new);
+            knobs.set(&profile, a.knob, proposed);
             let new_cost = Self::evaluate_cost(db, knobs, sampled);
             let profit = if base_cost > 0.0 {
                 (base_cost - new_cost) / base_cost
@@ -263,8 +261,7 @@ snap_struct!(MdpConfig {
 snap_struct!(KnobAutomaton {
     knob,
     p_increase,
-    step,
-    visited
+    step
 });
 
 snap_struct!(MdpEngine {

@@ -6,6 +6,13 @@
 //! remembers, per template, its frequency and the most frequent literal
 //! values; plan evaluation substitutes those back in ("substituting the
 //! actual (most frequent) parameters to the template").
+//!
+//! The most frequent literals come from a deterministic *space-saving*
+//! summary of at most `LITERAL_SLOTS` = 8 (literal pair, count) slots per
+//! template, so a template's state is bounded however long the log runs.
+//! The summary is exact while a template has seen at most `LITERAL_SLOTS`
+//! distinct pairs, and any pair seen more than `n / LITERAL_SLOTS` times
+//! out of `n` is always kept.
 
 use autodbaas_simdb::{QueryKind, QueryProfile};
 use std::collections::HashMap;
@@ -48,7 +55,50 @@ pub struct TemplateEntry {
     /// A representative query instance (kept with the template so plans can
     /// be re-evaluated later); updated to track the most frequent literals.
     pub representative: QueryProfile,
-    literal_counts: HashMap<[i64; 2], u64>,
+    /// Space-saving summary of the literal pairs seen: at most
+    /// `LITERAL_SLOTS` `(pair, count)` slots. A kept pair's count
+    /// over-estimates its true count by at most the count of the pair it
+    /// evicted; an evicted pair counts 0.
+    literal_slots: Vec<([i64; 2], u64)>,
+}
+
+/// Slots in a template's literal summary (see the module docs).
+const LITERAL_SLOTS: usize = 8;
+
+impl TemplateEntry {
+    /// Summary count of `lits` (0 when not kept).
+    fn literal_count(&self, lits: [i64; 2]) -> u64 {
+        self.literal_slots
+            .iter()
+            .find(|(l, _)| *l == lits)
+            .map_or(0, |&(_, c)| c)
+    }
+
+    /// Count one more `lits` and return its new summary count. An unseen
+    /// pair takes a free slot, or else replaces the lowest-count slot
+    /// (lowest index on ties) and inherits that count plus one.
+    fn observe_literals(&mut self, lits: [i64; 2]) -> u64 {
+        let slots = &mut self.literal_slots;
+        let i = match slots.iter().position(|(l, _)| *l == lits) {
+            Some(i) => i,
+            None if slots.len() < LITERAL_SLOTS => {
+                slots.push((lits, 0));
+                slots.len() - 1
+            }
+            None => {
+                // `min_by_key` keeps the first of equal minima.
+                let min = slots
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|(_, s)| s.1)
+                    .map_or(0, |(i, _)| i);
+                slots[min].0 = lits;
+                min
+            }
+        };
+        slots[i].1 += 1;
+        slots[i].1
+    }
 }
 
 /// Memo key that fully determines a query's normalised template text.
@@ -92,7 +142,7 @@ impl TemplateStore {
                             text: text.clone(),
                             frequency: 0,
                             representative: q.clone(),
-                            literal_counts: HashMap::new(),
+                            literal_slots: Vec::with_capacity(LITERAL_SLOTS),
                         });
                         self.by_text.insert(text, id);
                         id
@@ -104,16 +154,9 @@ impl TemplateStore {
         };
         let e = &mut self.entries[id.0 as usize];
         e.frequency += 1;
-        let lit_count = e.literal_counts.entry(q.literals).or_insert(0);
-        *lit_count += 1;
         // Keep the representative at the most frequent literal set.
-        let best = *lit_count;
-        let rep_count = e
-            .literal_counts
-            .get(&e.representative.literals)
-            .copied()
-            .unwrap_or(0);
-        if best >= rep_count {
+        let best = e.observe_literals(q.literals);
+        if best >= e.literal_count(e.representative.literals) {
             e.representative = q.clone();
         }
         id
@@ -163,7 +206,7 @@ autodbaas_snapshot::snap_struct!(TemplateEntry {
     text,
     frequency,
     representative,
-    literal_counts
+    literal_slots
 });
 
 impl Snap for TemplateStore {
@@ -240,6 +283,82 @@ mod tests {
         store.ingest(&q(QueryKind::Update, 0, [7, 7]));
         let id = store.ingest(&q(QueryKind::Update, 0, [7, 7]));
         assert_eq!(store.entry(id).representative.literals, [7, 7]);
+    }
+
+    #[test]
+    fn heavy_literals_survive_a_stream_of_unique_ones() {
+        // One pair in four is the heavy pair: 25% of the stream, above the
+        // n / LITERAL_SLOTS = 12.5% the summary guarantees to keep.
+        let heavy = [-3, 4];
+        let mut store = TemplateStore::new();
+        let mut id = store.ingest(&q(QueryKind::Update, 0, heavy));
+        let mut heavy_seen = 1;
+        for i in 0..100_000 {
+            id = store.ingest(&q(QueryKind::Update, 0, [-(i + 10), i]));
+            if i % 3 == 2 {
+                id = store.ingest(&q(QueryKind::Update, 0, heavy));
+                heavy_seen += 1;
+            }
+        }
+        let e = store.entry(id);
+        assert_eq!(store.len(), 1);
+        assert!(e.literal_count(heavy) >= heavy_seen);
+        assert_eq!(e.representative.literals, heavy);
+    }
+
+    #[test]
+    fn literal_summary_never_exceeds_its_slots() {
+        let mut store = TemplateStore::new();
+        for i in 0..1_000 {
+            let id = store.ingest(&q(QueryKind::PointSelect, 0, [i % 37, i % 11]));
+            assert!(store.entry(id).literal_slots.len() <= LITERAL_SLOTS);
+        }
+        let e = store.iter().next().expect("one template");
+        assert_eq!(e.literal_slots.len(), LITERAL_SLOTS);
+        // Space-saving keeps every count: the slots sum to the stream length.
+        assert_eq!(e.literal_slots.iter().map(|s| s.1).sum::<u64>(), 1_000);
+    }
+
+    /// A mixed stream over four templates with skewed literal pairs.
+    fn mixed_stream(store: &mut TemplateStore) {
+        let kinds = [
+            QueryKind::PointSelect,
+            QueryKind::RangeSelect,
+            QueryKind::Update,
+            QueryKind::Insert,
+        ];
+        for i in 0..5_000i64 {
+            let lits = [(i * i) % 13, i % 29];
+            store.ingest(&q(kinds[(i % 4) as usize], 0, lits));
+        }
+    }
+
+    #[test]
+    fn same_stream_encodes_byte_identically() {
+        let (mut a, mut b) = (TemplateStore::new(), TemplateStore::new());
+        mixed_stream(&mut a);
+        mixed_stream(&mut b);
+        let bytes = autodbaas_snapshot::encode_to_vec(&a);
+        assert_eq!(bytes, autodbaas_snapshot::encode_to_vec(&b));
+    }
+
+    #[test]
+    fn full_summary_round_trips_through_snap() {
+        let mut store = TemplateStore::new();
+        mixed_stream(&mut store);
+        assert!(store.iter().all(|e| e.literal_slots.len() == LITERAL_SLOTS));
+        let bytes = autodbaas_snapshot::encode_to_vec(&store);
+        let mut back: TemplateStore =
+            autodbaas_snapshot::decode_from_slice(&bytes).expect("decode");
+        assert_eq!(autodbaas_snapshot::encode_to_vec(&back), bytes);
+        // The restored store keeps counting where the original left off.
+        let next = q(QueryKind::Update, 0, [5, 6]);
+        let id = store.ingest(&next);
+        assert_eq!(back.ingest(&next), id);
+        assert_eq!(
+            autodbaas_snapshot::encode_to_vec(&back),
+            autodbaas_snapshot::encode_to_vec(&store)
+        );
     }
 
     #[test]
