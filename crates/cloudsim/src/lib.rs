@@ -32,5 +32,5 @@ pub use node::{DeferredApply, DriveTick, InFlightRequest, ManagedDatabase, Rollb
 pub use plan::{InteractionPlan, PlanAction, PlanEngine, PlanEvent};
 pub use runner::{drive_workload, drive_workload_with_faults, ChaosDriveResult, DriveResult};
 pub use safety::{RegretLedger, SafeRegion, SafetyConfig, SafetyGovernor, WindowVerdict};
-pub use shard::{derived_shard_seed, DriveStats, HotState, ShardPool};
+pub use shard::{derived_shard_seed, DriveStats, HotState, ShardJob, ShardPool};
 pub use sim::{FleetConfig, FleetSim, RollbackPolicy, FRAME_FLEET};

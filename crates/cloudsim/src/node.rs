@@ -1,7 +1,8 @@
 //! One managed database inside the fleet simulation: the replicated
 //! service, its TDE plugin, its workload, and its tuning-request policy.
 
-use autodbaas_core::{Tde, TdeConfig, TdeReport, TuningPolicy};
+use crate::shard::ShardJob;
+use autodbaas_core::{Tde, TdeConfig, TdeObservation, TdeReport, TuningPolicy};
 use autodbaas_ctrlplane::ReplicaSet;
 use autodbaas_simdb::{
     AnyBackend, Catalog, DbFlavor, DiskKind, InstanceType, KnobSet, MetricsSnapshot, SubmitResult,
@@ -114,6 +115,10 @@ pub struct ManagedDatabase {
     pub cooldown_windows: u32,
     /// Construction seed (HA slaves added later derive theirs from it).
     seed: u64,
+    /// Transient: this TDE round's node-local half (`observe_tde`), `None`
+    /// when the window is skipped. Set and taken within one round, so
+    /// never encoded.
+    pub(crate) tde_observed: Option<TdeObservation>,
 }
 
 /// How many distinct query instances are materialised per tick; the rest of
@@ -182,6 +187,7 @@ impl ManagedDatabase {
             total_ticks: 0,
             cooldown_windows: 0,
             seed,
+            tde_observed: None,
         }
     }
 
@@ -255,6 +261,30 @@ impl ManagedDatabase {
         DriveTick { submitted, down }
     }
 
+    /// Run one shard-pool epoch's job on this node.
+    pub(crate) fn run_job(&mut self, job: ShardJob) -> DriveTick {
+        match job {
+            ShardJob::Drive { tick_ms } => self.drive(tick_ms),
+            ShardJob::ObserveTde { now } => {
+                self.observe_tde(now);
+                DriveTick::default()
+            }
+        }
+    }
+
+    /// The node-local half of a TDE round at `now`: a monitoring-agent
+    /// blackout or a master still in crash recovery leaves no usable
+    /// window (`tde_observed` stays `None`); otherwise the TDE observes the
+    /// master. The fleet concludes the run serially, in node order.
+    fn observe_tde(&mut self, now: SimTime) {
+        let usable = now >= self.telemetry_blackout_until && !self.service.master().is_down();
+        self.tde_observed = if usable {
+            Some(self.tde.observe(self.service.master_mut()))
+        } else {
+            None
+        };
+    }
+
     /// Swap the workload (the Fig. 14 switch), resetting TDE workload
     /// state.
     pub fn switch_workload(
@@ -313,7 +343,9 @@ snap_struct!(RollbackGuard {
 
 // The boxed `dyn QuerySource` is the one field that cannot go through
 // `snap_struct!`: it round-trips through [`WorkloadSnap`], the closed
-// enumeration of every concrete workload the fleet can host.
+// enumeration of every concrete workload the fleet can host. The transient
+// `tde_observed` is not encoded: snapshots are taken between ticks, when
+// no TDE round is open.
 impl Snap for ManagedDatabase {
     fn encode(&self, w: &mut SnapWriter) {
         self.service.encode(w);
@@ -373,6 +405,7 @@ impl Snap for ManagedDatabase {
             total_ticks: Snap::decode(r)?,
             cooldown_windows: Snap::decode(r)?,
             seed: Snap::decode(r)?,
+            tde_observed: None,
         })
     }
 }

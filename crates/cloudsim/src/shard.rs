@@ -12,16 +12,18 @@
 //!
 //! # Barrier protocol
 //!
-//! Per tick the caller publishes `(base, tick_ms)`, resets the `done`
-//! counter, bumps the `generation` counter (Release) and unparks every
-//! worker. A worker wakes, Acquire-loads the generation, drives its node
-//! range, writes its [`ShardOutput`] into its slot, and announces with
-//! `done.fetch_add(1, Release)`. The caller drives shard 0 meanwhile, then
-//! waits for `done == W - 1` (Acquire) — that pairing makes every worker
-//! write happen-before the caller's merge. Outputs are merged in ascending
-//! shard order; since shards are contiguous ascending index ranges, the
-//! merged order equals the serial drive order and the engines are
-//! bit-identical for any shard count.
+//! Per epoch the caller publishes `(base, job)` — the job is a small `Copy`
+//! [`ShardJob`]: drive one tick of traffic, or run the node-local half of a
+//! TDE round — resets the `done` counter, bumps the `generation` counter
+//! (Release) and unparks every worker. A worker wakes, Acquire-loads the
+//! generation, reads the job, runs it on every node of its range through
+//! `ManagedDatabase::run_job`, writes its [`ShardOutput`] into its slot,
+//! and announces with `done.fetch_add(1, Release)`. The caller runs the job
+//! on shard 0 meanwhile, then waits for `done == W - 1` (Acquire) — that
+//! pairing makes every worker write happen-before the caller's merge.
+//! Outputs are merged in ascending shard order; since shards are contiguous
+//! ascending index ranges, the merged order equals the serial order and the
+//! engines are bit-identical for any shard count.
 //!
 //! # Determinism witness
 //!
@@ -33,6 +35,7 @@
 //! protocol violation — fails loudly instead of silently diverging.
 
 use crate::node::ManagedDatabase;
+use autodbaas_telemetry::SimTime;
 
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -72,6 +75,23 @@ impl DriveStats {
     }
 }
 
+/// The work one pool epoch does on every node, dispatched by
+/// `ManagedDatabase::run_job`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ShardJob {
+    /// Drive one tick of traffic ([`ManagedDatabase::drive`]).
+    Drive {
+        /// Tick length.
+        tick_ms: u64,
+    },
+    /// Run the node-local half of a TDE round (`Tde::observe`), skipping
+    /// a node in a telemetry blackout or crash recovery.
+    ObserveTde {
+        /// The round's sim time (gates telemetry blackouts).
+        now: SimTime,
+    },
+}
+
 /// What one worker shard produced in one epoch.
 #[derive(Debug, Clone, Copy, Default)]
 struct ShardOutput {
@@ -90,8 +110,8 @@ struct Ctl {
     shutdown: AtomicBool,
     /// A worker panicked mid-epoch; the caller re-raises.
     poisoned: AtomicBool,
-    /// Tick length for the current epoch.
-    tick_ms: AtomicU64,
+    /// The current epoch's job.
+    job: Mutex<ShardJob>,
     /// Base of the fleet's node slice for the current epoch. Only valid
     /// between the generation bump and the matching `done` barrier.
     base: AtomicPtr<ManagedDatabase>,
@@ -121,7 +141,7 @@ pub struct ShardPool {
 impl ShardPool {
     /// Build a pool of `shards` shards (clamped to `[1, n_nodes]`) over a
     /// fleet of `n_nodes` nodes. Spawns `shards − 1` worker threads; the
-    /// caller drives shard 0 inside [`ShardPool::drive_tick`].
+    /// caller runs shard 0 inside [`ShardPool::run_epoch`].
     pub fn new(shards: usize, n_nodes: usize, master_seed: u64) -> Self {
         let shards = shards.clamp(1, n_nodes.max(1));
         let chunk = n_nodes.div_ceil(shards).max(1);
@@ -133,7 +153,7 @@ impl ShardPool {
             done: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
             poisoned: AtomicBool::new(false),
-            tick_ms: AtomicU64::new(0),
+            job: Mutex::new(ShardJob::Drive { tick_ms: 0 }),
             base: AtomicPtr::new(std::ptr::null_mut()),
         });
         let mut slots = Vec::with_capacity(shards - 1);
@@ -182,23 +202,27 @@ impl ShardPool {
         self.n_nodes
     }
 
-    /// Drive one tick across every shard and merge the outputs in shard
-    /// order. `nodes` must be the same fleet (same length) the pool was
-    /// built for.
-    pub fn drive_tick(&mut self, nodes: &mut [ManagedDatabase], tick_ms: u64) -> DriveStats {
+    /// Run `job` on every node across every shard and merge the outputs in
+    /// shard order; only a [`ShardJob::Drive`] epoch counts node-ticks.
+    /// `nodes` must be the same fleet (same length) the pool was built for.
+    pub fn run_epoch(&mut self, nodes: &mut [ManagedDatabase], job: ShardJob) -> DriveStats {
         assert_eq!(
             nodes.len(),
             self.n_nodes,
             "pool partitioned for a different fleet size"
         );
         let mut total = DriveStats {
-            node_ticks: self.n_nodes as u64,
+            node_ticks: if matches!(job, ShardJob::Drive { .. }) {
+                self.n_nodes as u64
+            } else {
+                0
+            },
             ..DriveStats::default()
         };
         if self.handles.is_empty() {
             // Single shard: the plain serial loop, no synchronisation.
             for node in nodes {
-                let t = node.drive(tick_ms);
+                let t = node.run_job(job);
                 total.submitted += t.submitted;
                 total.down_ticks += u64::from(t.down);
             }
@@ -206,10 +230,10 @@ impl ShardPool {
         }
 
         // Publish the epoch. The Release on `generation` orders the
-        // base/tick/done stores before any worker's Acquire load.
+        // base/job/done stores before any worker's Acquire load.
         let base = nodes.as_mut_ptr();
         self.ctl.base.store(base, Ordering::Relaxed);
-        self.ctl.tick_ms.store(tick_ms, Ordering::Relaxed);
+        *self.ctl.job.lock() = job;
         self.ctl.done.store(0, Ordering::Relaxed);
         self.generation += 1;
         self.ctl
@@ -226,7 +250,7 @@ impl ShardPool {
             // barrier below retires the epoch, so this is the only live
             // `&mut` to `nodes[i]`.
             let node = unsafe { &mut *base.add(i) };
-            let t = node.drive(tick_ms);
+            let t = node.run_job(job);
             total.submitted += t.submitted;
             total.down_ticks += u64::from(t.down);
         }
@@ -245,7 +269,7 @@ impl ShardPool {
         }
         if self.ctl.poisoned.load(Ordering::Acquire) {
             // detlint-allow: R003 deliberately re-raises a worker panic on the driver thread; swallowing it would hand back a corrupt fleet state
-            panic!("a fleet shard worker panicked while driving its nodes");
+            panic!("a fleet shard worker panicked while running its nodes");
         }
 
         // Merge in ascending shard order — the serial drive order.
@@ -255,7 +279,7 @@ impl ShardPool {
             assert_eq!(
                 out.probe,
                 expected,
-                "shard {} epoch probe mismatch: missed or replayed a tick",
+                "shard {} epoch probe mismatch: missed or replayed an epoch",
                 w + 1
             );
             total.submitted += out.submitted;
@@ -280,8 +304,9 @@ impl Drop for ShardPool {
     }
 }
 
-/// Worker loop for one shard: park until the generation moves, drive the
-/// owned node range, publish the output, announce on the barrier.
+/// Worker loop for one shard: park until the generation moves, run the
+/// epoch's job on the owned node range, publish the output, announce on the
+/// barrier.
 fn worker_main(ctl: &Ctl, slot: &Slot, range: Range<usize>, seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut seen = 0u64;
@@ -298,7 +323,7 @@ fn worker_main(ctl: &Ctl, slot: &Slot, range: Range<usize>, seed: u64) {
             std::thread::park();
         }
         let base = ctl.base.load(Ordering::Relaxed);
-        let tick_ms = ctl.tick_ms.load(Ordering::Relaxed);
+        let job = *ctl.job.lock();
         let probe = rng.gen::<u64>();
         let driven = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut submitted = 0u64;
@@ -310,7 +335,7 @@ fn worker_main(ctl: &Ctl, slot: &Slot, range: Range<usize>, seed: u64) {
                 // barrier before touching `nodes` again — so this is the
                 // only live `&mut` to `nodes[i]`.
                 let node = unsafe { &mut *base.add(i) };
-                let t = node.drive(tick_ms);
+                let t = node.run_job(job);
                 submitted += t.submitted;
                 down += u64::from(t.down);
             }
@@ -415,6 +440,8 @@ mod tests {
     use autodbaas_tuner::WorkloadId;
     use autodbaas_workload::{tpcc, ArrivalProcess};
 
+    const DRIVE: ShardJob = ShardJob::Drive { tick_ms: 1_000 };
+
     fn fleet(n: usize) -> Vec<ManagedDatabase> {
         (0..n)
             .map(|i| {
@@ -474,7 +501,7 @@ mod tests {
             let mut pool = ShardPool::new(shards, nodes.len(), 0x5eed ^ 7);
             let mut stats = DriveStats::default();
             for _ in 0..ticks {
-                stats.accumulate(&pool.drive_tick(&mut nodes, 1_000));
+                stats.accumulate(&pool.run_epoch(&mut nodes, DRIVE));
             }
             assert_eq!(stats, serial_stats, "shards={shards}");
             let got: Vec<(u64, f64)> = nodes
@@ -491,17 +518,50 @@ mod tests {
     }
 
     #[test]
+    fn tde_observe_epochs_match_the_serial_observe() {
+        let encoded = |nodes: &[ManagedDatabase]| -> Vec<(Vec<u8>, bool)> {
+            nodes
+                .iter()
+                .map(|n| {
+                    (
+                        autodbaas_snapshot::encode_to_vec(&n.tde),
+                        n.tde_observed.is_some(),
+                    )
+                })
+                .collect()
+        };
+        let mut reference = None;
+        for shards in [1usize, 2, 5] {
+            let mut nodes = fleet(7);
+            // Node 3 is in a telemetry blackout: its observation is skipped.
+            nodes[3].telemetry_blackout_until = u64::MAX;
+            let mut pool = ShardPool::new(shards, nodes.len(), 3);
+            for _ in 0..60 {
+                pool.run_epoch(&mut nodes, DRIVE);
+            }
+            let stats = pool.run_epoch(&mut nodes, ShardJob::ObserveTde { now: 60_000 });
+            assert_eq!(stats, DriveStats::default(), "observing drives nothing");
+            let got = encoded(&nodes);
+            assert!(!got[3].1 && got.iter().filter(|n| n.1).count() == 6);
+            match &reference {
+                None => reference = Some(got),
+                Some(r) => assert_eq!(&got, r, "shards={shards}"),
+            }
+        }
+    }
+
+    #[test]
     fn pool_survives_many_epochs_and_rebuild() {
         let mut nodes = fleet(6);
         {
             let mut pool = ShardPool::new(3, 6, 9);
             assert_eq!(pool.shards(), 3);
             for _ in 0..200 {
-                pool.drive_tick(&mut nodes, 250);
+                pool.run_epoch(&mut nodes, ShardJob::Drive { tick_ms: 250 });
             }
         } // drop joins the workers
         let mut pool = ShardPool::new(2, 6, 9);
-        let stats = pool.drive_tick(&mut nodes, 250);
+        let stats = pool.run_epoch(&mut nodes, ShardJob::Drive { tick_ms: 250 });
         assert_eq!(stats.node_ticks, 6);
     }
 
@@ -518,7 +578,7 @@ mod tests {
     fn driving_a_resized_fleet_is_rejected() {
         let mut nodes = fleet(4);
         let mut pool = ShardPool::new(2, 5, 1);
-        pool.drive_tick(&mut nodes, 1_000);
+        pool.run_epoch(&mut nodes, DRIVE);
     }
 
     #[test]

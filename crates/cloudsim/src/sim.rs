@@ -10,7 +10,7 @@ use crate::faults::{FaultEngine, FaultEvent, FaultKind, FaultPlan};
 use crate::node::{DeferredApply, InFlightRequest, ManagedDatabase, RollbackGuard};
 use crate::plan::{InteractionPlan, PlanAction, PlanEngine, PlanEvent};
 use crate::safety::{SafetyConfig, SafetyGovernor};
-use crate::shard::{DriveStats, HotState, ShardPool};
+use crate::shard::{DriveStats, HotState, ShardJob, ShardPool};
 
 use autodbaas_ctrlplane::{
     ApplyError, ConfigDirector, RecommendationMeter, ReconcileOutcome, Reconciler, ServiceId,
@@ -524,7 +524,9 @@ impl FleetSim {
         // 1. Traffic. Databases are independent within a tick; the shard
         // pool partitions them once over persistent worker shards (shard 0
         // is this thread).
-        self.drive_traffic();
+        let tick_ms = self.cfg.tick_ms;
+        let tick = self.run_on_pool(ShardJob::Drive { tick_ms });
+        self.drive_stats.accumulate(&tick);
 
         // 2. Crash recoveries that completed this tick.
         self.flush_recoveries();
@@ -584,23 +586,23 @@ impl FleetSim {
         budget.min(n.div_ceil(AUTO_MIN_NODES_PER_SHARD)).max(1)
     }
 
-    /// Drive one tick of traffic on the shard pool, (re)building the pool
-    /// when the fleet size or resolved shard count changed.
-    fn drive_traffic(&mut self) {
+    /// Run one epoch of `job` over the whole fleet on the shard pool,
+    /// (re)building the pool when the fleet size or resolved shard count
+    /// changed.
+    fn run_on_pool(&mut self, job: ShardJob) -> DriveStats {
         let want = self.resolve_shards();
-        let stale = self
+        let n = self.nodes.len();
+        if self
             .pool
             .as_ref()
-            .is_none_or(|p| p.shards() != want || p.n_nodes() != self.nodes.len());
-        if stale {
-            self.pool = Some(ShardPool::new(want, self.nodes.len(), self.cfg.seed));
+            .is_some_and(|p| p.shards() != want || p.n_nodes() != n)
+        {
+            self.pool = None; // join the old workers before spawning new ones
         }
-        let tick = self
-            .pool
-            .as_mut()
-            .expect("built above")
-            .drive_tick(&mut self.nodes, self.cfg.tick_ms);
-        self.drive_stats.accumulate(&tick);
+        let seed = self.cfg.seed;
+        self.pool
+            .get_or_insert_with(|| ShardPool::new(want, n, seed))
+            .run_epoch(&mut self.nodes, job)
     }
 
     /// Recompute node `idx`'s SoA control-due entry. Called after every
@@ -932,19 +934,25 @@ impl FleetSim {
     }
 
     fn run_tde_round(&mut self, window_ms: u64) {
+        // The node-local half of every TDE run (log ingest and detectors)
+        // touches only its own node, so it runs as one pool epoch. The rest
+        // reads the repository this loop extends, so it stays serial, in
+        // node order.
+        self.run_on_pool(ShardJob::ObserveTde { now: self.now });
         let rollback = self.cfg.rollback;
         let mut windows = std::mem::take(&mut self.window_scratch);
         windows.clear();
         for idx in 0..self.nodes.len() {
             let node = &mut self.nodes[idx];
             // A monitoring-agent blackout or a master still in crash
-            // recovery means no usable window: reset and move on — no
-            // sample, no RL transition, no tuning request.
-            if self.now < node.telemetry_blackout_until || node.service.master().is_down() {
+            // recovery means no usable window (the observe step left
+            // `None`): reset and move on — no sample, no RL transition, no
+            // tuning request.
+            let Some(observed) = node.tde_observed.take() else {
                 node.window_start_snapshot = node.service.master().metrics_snapshot();
                 node.window_tainted = false;
                 continue;
-            }
+            };
             // Close the observation window: one snapshot and one delta
             // vector serve the objective, the RL transition and the
             // captured sample (which takes the vector by value below).
@@ -977,13 +985,16 @@ impl FleetSim {
                 }
             }
 
-            // TDE run. The TDE's MDP detector applies accepted planner-knob
-            // probes directly to the live master; those local moves are
-            // authoritative (the plugin owns them), so fold them into the
-            // persisted config of record — otherwise the reconciler would
-            // fight the TDE, rejecting each accepted probe as drift.
+            // Conclude the TDE run. The TDE's MDP detector applies accepted
+            // planner-knob probes directly to the live master; those local
+            // moves are authoritative (the plugin owns them), so fold them
+            // into the persisted config of record — otherwise the
+            // reconciler would fight the TDE, rejecting each accepted probe
+            // as drift.
             let pre_tde = node.service.master().knobs().clone();
-            let report = node.tde.run(node.service.master_mut(), Some(&self.repo));
+            let report = node
+                .tde
+                .conclude(node.service.master_mut(), Some(&self.repo), observed);
             if report.plan_upgrade {
                 node.plan_upgrades += 1;
             }

@@ -41,10 +41,14 @@ impl QueryClass {
 
     /// Stable index.
     pub fn index(self) -> usize {
-        Self::ALL
-            .iter()
-            .position(|&c| c == self)
-            .expect("class in ALL")
+        match self {
+            QueryClass::WorkMem => 0,
+            QueryClass::Maintenance => 1,
+            QueryClass::TempBuf => 2,
+            QueryClass::WriteHeavy => 3,
+            QueryClass::Parallel => 4,
+            QueryClass::Other => 5,
+        }
     }
 
     /// The knob class this query class throttles.
@@ -172,6 +176,13 @@ mod tests {
 
     fn q(kind: QueryKind) -> QueryProfile {
         QueryProfile::new(kind, 0)
+    }
+
+    #[test]
+    fn index_is_the_position_in_all() {
+        for (i, c) in QueryClass::ALL.into_iter().enumerate() {
+            assert_eq!(c.index(), i);
+        }
     }
 
     #[test]

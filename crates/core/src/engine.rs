@@ -78,6 +78,16 @@ pub struct TdeReport {
     pub buffer_findings: Vec<WorkingSetFinding>,
 }
 
+/// What [`Tde::observe`] found, handed to [`Tde::conclude`]: the partial
+/// report of steps 1–3b and the window's reservoir sample (at most
+/// `reservoir_capacity` profiles), which the MDP re-plans.
+#[derive(Debug, Clone, Default)]
+pub struct TdeObservation {
+    now: SimTime,
+    report: TdeReport,
+    sampled: Vec<QueryProfile>,
+}
+
 /// TDE configuration.
 #[derive(Debug, Clone)]
 pub struct TdeConfig {
@@ -226,8 +236,18 @@ impl Tde {
 
     /// One periodic TDE run against `db` (any [`Backend`] adapter),
     /// optionally consulting the tuner repository for the background-writer
-    /// baseline.
+    /// baseline: [`Tde::observe`] then [`Tde::conclude`].
     pub fn run<B: Backend>(&mut self, db: &mut B, repo: Option<&WorkloadRepository>) -> TdeReport {
+        let obs = self.observe(db);
+        self.conclude(db, repo, obs)
+    }
+
+    /// The node-local half of a run (steps 1–3b): ingest the log, detect
+    /// spills through the entropy filter, gauge the working set and check
+    /// the hit-ratio floor. It touches only this TDE and `db`, so a fleet
+    /// can run every node's half in parallel; [`Tde::conclude`] finishes
+    /// the run.
+    pub fn observe<B: Backend>(&mut self, db: &mut B) -> TdeObservation {
         let now = db.now();
         let mut report = TdeReport::default();
 
@@ -239,16 +259,15 @@ impl Tde {
         // whole history — a stale sample would keep indicting queries that
         // stopped arriving.
         self.reservoir.clear();
-        let new_queries: Vec<QueryProfile> = db
-            .query_log()
-            .filter(|l| l.at >= self.last_ingested_at)
-            .map(|l| l.query.clone())
-            .collect();
+        let since = self.last_ingested_at;
         self.last_ingested_at = now;
-        for q in &new_queries {
+        let mut ingested = 0usize;
+        for l in db.query_log().filter(|l| l.at >= since) {
+            let q = &l.query;
             self.hist.record(q);
             self.templates.ingest(q);
             self.reservoir.offer(q.clone(), &mut self.rng);
+            ingested += 1;
         }
         let sampled: Vec<QueryProfile> = self.reservoir.items().to_vec();
 
@@ -256,7 +275,7 @@ impl Tde {
         let spills = detect_spills(db, &sampled);
         // Oversubscription: work areas were pushed past the instance's
         // memory; there may be no spills left, but the machine is swapping.
-        let swapping = db.swap_factor() > 1.05 && !new_queries.is_empty();
+        let swapping = db.swap_factor() > 1.05 && ingested > 0;
         let throttled = !spills.is_empty() || swapping;
         let any_at_cap = swapping
             || spills
@@ -347,11 +366,34 @@ impl Tde {
             }
         }
 
+        TdeObservation {
+            now,
+            report,
+            sampled,
+        }
+    }
+
+    /// The serial half of a run (step 4, step 5 and bookkeeping), over the
+    /// observation [`Tde::observe`] made of the same `db`. Step 4 reads
+    /// `repo`, which a fleet round extends node by node, so fleets call
+    /// this in node order.
+    pub fn conclude<B: Backend>(
+        &mut self,
+        db: &mut B,
+        repo: Option<&WorkloadRepository>,
+        obs: TdeObservation,
+    ) -> TdeReport {
+        let TdeObservation {
+            now,
+            mut report,
+            sampled,
+        } = obs;
+
         // --- 4. Background-writer detector -------------------------------
         // An empty repository cannot map a baseline, so skip outright —
         // healthy gated fleets run for hours with zero captured samples.
-        // The signature reuses the §3b snapshot: nothing touches `db`
-        // between the two sections, so it is the same vector re-read.
+        // The signature reuses the §3b snapshot: nothing touches `db`'s
+        // metrics between the two halves, so it is the same vector re-read.
         if let Some(repo) = repo.filter(|r| r.total_samples() > 0) {
             let signature = self
                 .window_snapshot
@@ -730,6 +772,80 @@ mod tests {
         let _ = tde.run(&mut d, None);
         // The MDP engine is still wired to the node's planner knobs.
         assert!(tde.mdp().knob_count() > 0);
+    }
+
+    #[test]
+    fn observe_then_conclude_equals_run() {
+        use autodbaas_snapshot::encode_to_vec;
+        use autodbaas_tuner::{normalize_config, Sample, SampleQuality};
+        use autodbaas_workload::tpcc;
+
+        let wl = tpcc(1.0);
+        let node = || {
+            let catalog = wl.catalog().clone();
+            SimDatabase::new(
+                DbFlavor::Postgres,
+                InstanceType::M4Large,
+                DiskKind::Ssd,
+                catalog,
+                21,
+            )
+        };
+        let (mut da, mut db) = (node(), node());
+        let profile = da.profile().clone();
+        let cfg = TdeConfig {
+            mdp_interval_ms: 2 * MILLIS_PER_MIN,
+            ..TdeConfig::default()
+        };
+        let mut split = Tde::new(&profile, cfg.clone(), 8);
+        let mut whole = Tde::new(&profile, cfg, 8);
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut repo = WorkloadRepository::new();
+        let wid = repo.register("tpcc", false);
+        let mut mdp_runs = 0;
+        for window in 0..12 {
+            // One minute of TPC-C plus a spilling sort, identical on both.
+            let before = da.metrics_snapshot();
+            for _ in 0..60 {
+                for _ in 0..6 {
+                    let q = wl.next_query(&mut rng);
+                    da.submit(&q, 8);
+                    db.submit(&q, 8);
+                }
+                let mut sort = QueryProfile::new(QueryKind::OrderBy, 1);
+                sort.rows_examined = 50_000;
+                sort.sort_bytes = 64 * MIB;
+                sort.literals = [window, 7];
+                da.submit(&sort, 1);
+                db.submit(&sort, 1);
+                da.tick(1_000);
+                db.tick(1_000);
+            }
+            let last_mdp = whole.mdp_last_run;
+            let ra = whole.run(&mut da, Some(&repo));
+            let obs = split.observe(&mut db);
+            let rb = split.conclude(&mut db, Some(&repo), obs);
+            mdp_runs += usize::from(whole.mdp_last_run != last_mdp);
+            assert_eq!(encode_to_vec(&ra), encode_to_vec(&rb), "window {window}");
+            assert_eq!(
+                encode_to_vec(&whole),
+                encode_to_vec(&split),
+                "window {window}"
+            );
+            assert_eq!(encode_to_vec(&da), encode_to_vec(&db), "window {window}");
+            // Grow the repository so step 4 maps a baseline from it.
+            let delta = da.metrics_snapshot().delta(&before);
+            repo.add_sample(
+                wid,
+                Sample {
+                    config: normalize_config(&profile, da.knobs().as_vec()),
+                    objective: delta[autodbaas_simdb::MetricId::QueriesExecuted.index()] / 60.0,
+                    metrics: delta,
+                    quality: SampleQuality::High,
+                },
+            );
+        }
+        assert!(mdp_runs >= 3, "MDP ran {mdp_runs} times");
     }
 
     #[test]

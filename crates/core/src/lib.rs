@@ -40,7 +40,9 @@ pub mod template;
 pub use bgwriter::{baseline_from_repo, BgBaseline, BgFinding, BgwriterDetector};
 pub use classify::{classify, ClassHistogram, QueryClass};
 pub use drift::{js_divergence, DriftConfig, DriftDetector, DriftVerdict};
-pub use engine::{Tde, TdeConfig, TdeReport, ThrottleReason, ThrottleSignal, TuningPolicy};
+pub use engine::{
+    Tde, TdeConfig, TdeObservation, TdeReport, ThrottleReason, ThrottleSignal, TuningPolicy,
+};
 pub use filter::{EntropyFilter, FilterConfig, FilterDecision};
 pub use learned::{LearnedDetector, LearnedScores};
 pub use mdp::{MdpAction, MdpConfig, MdpEngine, MdpOutcome};

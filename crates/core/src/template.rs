@@ -66,38 +66,51 @@ pub struct TemplateEntry {
 const LITERAL_SLOTS: usize = 8;
 
 impl TemplateEntry {
-    /// Summary count of `lits` (0 when not kept).
-    fn literal_count(&self, lits: [i64; 2]) -> u64 {
-        self.literal_slots
-            .iter()
-            .find(|(l, _)| *l == lits)
-            .map_or(0, |&(_, c)| c)
-    }
-
-    /// Count one more `lits` and return its new summary count. An unseen
-    /// pair takes a free slot, or else replaces the lowest-count slot
-    /// (lowest index on ties) and inherits that count plus one.
-    fn observe_literals(&mut self, lits: [i64; 2]) -> u64 {
+    /// Count one more `lits` and return `(its new summary count, the
+    /// representative's summary count after the update)`. An unseen pair
+    /// takes a free slot, or else replaces the lowest-count slot (lowest
+    /// index on ties) and inherits that count plus one; a representative
+    /// whose slot was just taken counts 0.
+    ///
+    /// One pass over the ≤ `LITERAL_SLOTS` slots finds the pair, the
+    /// representative's slot and the first minimum together.
+    fn observe_literals(&mut self, lits: [i64; 2]) -> (u64, u64) {
+        let rep_lits = self.representative.literals;
         let slots = &mut self.literal_slots;
-        let i = match slots.iter().position(|(l, _)| *l == lits) {
+        let (mut hit, mut rep, mut min, mut min_count) = (None, None, 0, u64::MAX);
+        for (i, &(l, c)) in slots.iter().enumerate() {
+            if l == lits {
+                hit = Some(i);
+            }
+            if l == rep_lits {
+                rep = Some(i);
+            }
+            if c < min_count {
+                (min, min_count) = (i, c);
+            }
+        }
+        let i = match hit {
             Some(i) => i,
             None if slots.len() < LITERAL_SLOTS => {
                 slots.push((lits, 0));
                 slots.len() - 1
             }
             None => {
-                // `min_by_key` keeps the first of equal minima.
-                let min = slots
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, s)| s.1)
-                    .map_or(0, |(i, _)| i);
                 slots[min].0 = lits;
+                if rep == Some(min) {
+                    rep = None;
+                }
                 min
             }
         };
         slots[i].1 += 1;
-        slots[i].1
+        let count = slots[i].1;
+        let rep_count = if lits == rep_lits {
+            count
+        } else {
+            rep.map_or(0, |r| slots[r].1)
+        };
+        (count, rep_count)
     }
 }
 
@@ -107,7 +120,7 @@ impl TemplateEntry {
 /// WHERE k = {lit0} AND v < {lit1}"` — and [`normalize_sql`] collapses
 /// every digit run to `?`, so only the verb (no digits in any verb) and the
 /// literals' *signs* (the `-` of a negative literal survives stripping)
-/// reach the normalised text. Hashing this 3-tuple replaces two string
+/// reach the normalised text. Looking this 3-tuple up replaces two string
 /// allocations and a string-keyed lookup per ingested query.
 type TemplateKey = (QueryKind, bool, bool);
 
@@ -116,7 +129,9 @@ type TemplateKey = (QueryKind, bool, bool);
 pub struct TemplateStore {
     by_text: HashMap<String, TemplateId>,
     /// Fast path: render/normalise-free lookup for profile-shaped queries.
-    by_key: HashMap<TemplateKey, TemplateId>,
+    /// At most `4 × QueryKind` keys exist (a workload uses a handful), so a
+    /// linear scan beats hashing the key.
+    by_key: Vec<(TemplateKey, TemplateId)>,
     entries: Vec<TemplateEntry>,
 }
 
@@ -129,8 +144,8 @@ impl TemplateStore {
     /// Ingest one query instance; returns its template id.
     pub fn ingest(&mut self, q: &QueryProfile) -> TemplateId {
         let key: TemplateKey = (q.kind, q.literals[0] < 0, q.literals[1] < 0);
-        let id = match self.by_key.get(&key) {
-            Some(&id) => id,
+        let id = match self.by_key.iter().find(|(k, _)| *k == key) {
+            Some(&(_, id)) => id,
             None => {
                 let text = normalize_sql(&q.render_sql());
                 let id = match self.by_text.get(&text) {
@@ -148,15 +163,15 @@ impl TemplateStore {
                         id
                     }
                 };
-                self.by_key.insert(key, id);
+                self.by_key.push((key, id));
                 id
             }
         };
         let e = &mut self.entries[id.0 as usize];
         e.frequency += 1;
         // Keep the representative at the most frequent literal set.
-        let best = e.observe_literals(q.literals);
-        if best >= e.literal_count(e.representative.literals) {
+        let (count, rep_count) = e.observe_literals(q.literals);
+        if count >= rep_count {
             e.representative = q.clone();
         }
         id
@@ -217,11 +232,11 @@ impl Snap for TemplateStore {
     fn decode(r: &mut SnapReader) -> Result<Self, SnapError> {
         let entries: Vec<TemplateEntry> = Snap::decode(r)?;
         let mut by_text = HashMap::new();
-        let mut by_key = HashMap::new();
+        let mut by_key = Vec::with_capacity(entries.len());
         for e in &entries {
             by_text.insert(e.text.clone(), e.id);
             let rep = &e.representative;
-            by_key.insert((rep.kind, rep.literals[0] < 0, rep.literals[1] < 0), e.id);
+            by_key.push(((rep.kind, rep.literals[0] < 0, rep.literals[1] < 0), e.id));
         }
         Ok(Self {
             by_text,
@@ -240,6 +255,123 @@ mod tests {
         let mut q = QueryProfile::new(kind, table);
         q.literals = lits;
         q
+    }
+
+    /// The two-scan summary update the one-pass `observe_literals`
+    /// replaced, kept as its reference.
+    impl TemplateEntry {
+        /// Summary count of `lits` (0 when not kept).
+        fn literal_count(&self, lits: [i64; 2]) -> u64 {
+            self.literal_slots
+                .iter()
+                .find(|(l, _)| *l == lits)
+                .map_or(0, |&(_, c)| c)
+        }
+
+        /// Count one more `lits`; return its new summary count.
+        fn observe_literals_two_scan(&mut self, lits: [i64; 2]) -> u64 {
+            let slots = &mut self.literal_slots;
+            let i = match slots.iter().position(|(l, _)| *l == lits) {
+                Some(i) => i,
+                None if slots.len() < LITERAL_SLOTS => {
+                    slots.push((lits, 0));
+                    slots.len() - 1
+                }
+                None => {
+                    // `min_by_key` keeps the first of equal minima.
+                    let min = slots
+                        .iter()
+                        .enumerate()
+                        .min_by_key(|(_, s)| s.1)
+                        .map_or(0, |(i, _)| i);
+                    slots[min].0 = lits;
+                    min
+                }
+            };
+            slots[i].1 += 1;
+            slots[i].1
+        }
+    }
+
+    #[test]
+    fn one_pass_summary_matches_the_two_scan_reference() {
+        let entry = |first: &QueryProfile| TemplateEntry {
+            id: TemplateId(0),
+            text: String::new(),
+            frequency: 0,
+            representative: first.clone(),
+            literal_slots: Vec::new(),
+        };
+        // Seeded stream of blocks: either one fresh pair, or a rotated
+        // round over the last 8 fresh pairs. A round evens the counts out,
+        // so the representative often ends on the first minimum and the
+        // next fresh pair evicts the representative's own slot.
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut stream = Vec::new();
+        let mut live: Vec<[i64; 2]> = Vec::new();
+        let mut fresh = 0;
+        while stream.len() < 200_000 {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let r = state >> 33;
+            if r.is_multiple_of(3) || live.len() < LITERAL_SLOTS {
+                fresh += 1;
+                let lits = [fresh, -((r % 5) as i64)];
+                stream.push(lits);
+                live.push(lits);
+                if live.len() > LITERAL_SLOTS {
+                    live.remove(0);
+                }
+            } else {
+                let k = (r % LITERAL_SLOTS as u64) as usize;
+                stream.extend_from_slice(&live[k..]);
+                stream.extend_from_slice(&live[..k]);
+            }
+        }
+        let first = q(QueryKind::Update, 0, [0, 0]);
+        let (mut one, mut two) = (entry(&first), entry(&first));
+        let mut rep_evictions = 0;
+        for lits in stream {
+            let rep_kept = one.literal_count(one.representative.literals) > 0;
+            let (count, rep_count) = one.observe_literals(lits);
+            let best = two.observe_literals_two_scan(lits);
+            let rep_ref = two.literal_count(two.representative.literals);
+            if rep_kept && one.literal_count(one.representative.literals) == 0 {
+                rep_evictions += 1;
+            }
+            assert_eq!((count, rep_count), (best, rep_ref));
+            if count >= rep_count {
+                one.representative = q(QueryKind::Update, 0, lits);
+            }
+            if best >= rep_ref {
+                two.representative = q(QueryKind::Update, 0, lits);
+            }
+            assert_eq!(one.literal_slots, two.literal_slots);
+            assert_eq!(one.representative.literals, two.representative.literals);
+        }
+        assert!(rep_evictions > 100, "only {rep_evictions} evictions");
+    }
+
+    #[test]
+    fn decoded_store_maps_every_key_to_the_same_template() {
+        let mut store = TemplateStore::new();
+        mixed_stream(&mut store);
+        for (i, kind) in QueryKind::ALL.into_iter().enumerate() {
+            let i = i as i64;
+            store.ingest(&q(kind, 0, [i, -i - 1]));
+            store.ingest(&q(kind, 0, [-i - 1, i]));
+        }
+        let mut back: TemplateStore =
+            autodbaas_snapshot::decode_from_slice(&autodbaas_snapshot::encode_to_vec(&store))
+                .expect("decode");
+        for kind in QueryKind::ALL {
+            for lits in [[1, 1], [-1, 1], [1, -1], [-1, -1]] {
+                let next = q(kind, 3, lits);
+                assert_eq!(back.ingest(&next), store.ingest(&next), "{kind:?} {lits:?}");
+            }
+        }
+        assert_eq!(back.len(), store.len());
     }
 
     #[test]

@@ -75,8 +75,20 @@ pub enum Item {
         /// Associated functions, in source order.
         fns: Vec<FnDef>,
     },
-    /// Anything else (struct/enum/use/const/static/type/macro). Kept only
-    /// for span accounting.
+    /// `struct Name { … }` with named fields (the call graph types
+    /// `self.field.method()` receivers from these).
+    Struct {
+        /// Struct name.
+        name: String,
+        /// Whole-item span.
+        span: Span,
+        /// `(field, type)` per named field, the type as the final plain
+        /// path segment (`Option<Tde>` → `Option`, `a::Tde` → `Tde`);
+        /// empty when the type is not a path (tuples, arrays).
+        fields: Vec<(String, String)>,
+    },
+    /// Anything else (tuple struct/enum/use/const/static/type/macro). Kept
+    /// only for span accounting.
     Other {
         /// Whole-item span.
         span: Span,
@@ -87,7 +99,10 @@ impl Item {
     /// The item's span.
     pub fn span(&self) -> &Span {
         match self {
-            Item::Mod { span, .. } | Item::Impl { span, .. } | Item::Other { span } => span,
+            Item::Mod { span, .. }
+            | Item::Impl { span, .. }
+            | Item::Struct { span, .. }
+            | Item::Other { span } => span,
             Item::Fn(f) => &f.span,
         }
     }
@@ -96,7 +111,7 @@ impl Item {
 /// One function definition (free, associated, or trait-default).
 #[derive(Debug, Clone)]
 pub struct FnDef {
-    /// Bare name (`drive_tick`).
+    /// Bare name (`run_epoch`).
     pub name: String,
     /// `pub` in any form (`pub`, `pub(crate)`, …).
     pub is_pub: bool,
@@ -222,9 +237,23 @@ where
                         f(mods, Some(self_ty), trait_name.as_deref(), def);
                     }
                 }
-                Item::Other { .. } => {}
+                Item::Struct { .. } | Item::Other { .. } => {}
             }
         }
     }
     go(items, &mut Vec::new(), f);
+}
+
+/// Depth-first walk over every named-field struct in an item tree.
+pub fn walk_structs<'a, F>(items: &'a [Item], f: &mut F)
+where
+    F: FnMut(&'a str, &'a Span, &'a [(String, String)]),
+{
+    for item in items {
+        match item {
+            Item::Struct { name, span, fields } => f(name, span, fields),
+            Item::Mod { items, .. } => walk_structs(items, f),
+            _ => {}
+        }
+    }
 }

@@ -23,7 +23,7 @@
 //! never resolved by bare-name fallback: a workspace type that happens to
 //! define `len` must not capture every `.len()` in the tree.
 
-use crate::ast::{walk_fns, Ast, Body, EventKind, Span};
+use crate::ast::{walk_fns, walk_structs, Ast, Body, EventKind, Span};
 use std::collections::BTreeMap;
 
 /// One parsed source file, as the graph and flow analyses consume it.
@@ -46,7 +46,7 @@ pub struct FnNode {
     pub file: usize,
     /// Bare name.
     pub name: String,
-    /// Display path (`cloudsim::shard::ShardPool::drive_tick`).
+    /// Display path (`cloudsim::shard::ShardPool::run_epoch`).
     pub qual: String,
     /// Logical path *excluding* the name: `[crate, file mods…, inline
     /// mods…, impl type?]`. Call-path suffixes match against this.
@@ -264,6 +264,7 @@ impl CallGraph {
         for (i, f) in fns.iter().enumerate() {
             by_name.entry(&f.name).or_default().push(i);
         }
+        let structs = struct_fields(files);
 
         let mut stats = GraphStats {
             functions: fns.len(),
@@ -283,7 +284,7 @@ impl CallGraph {
                     }
                     EventKind::MethodCall { name, recv } => (
                         format!("{recv}.{name}"),
-                        resolve_method_call(&fns, &by_name, i, name, recv),
+                        resolve_method_call(&fns, &by_name, &structs, i, name, recv),
                     ),
                     _ => continue,
                 };
@@ -385,10 +386,40 @@ fn resolve_path_call(
     narrow(fns, caller, survivors, upper)
 }
 
+/// Named fields per non-test workspace struct. A name declared by more
+/// than one struct maps to `None`: its fields say nothing certain.
+type StructFields<'a> = BTreeMap<&'a str, Option<&'a [(String, String)]>>;
+
+fn struct_fields(files: &[FileAst]) -> StructFields<'_> {
+    let mut out = StructFields::new();
+    for file in files {
+        if file.crate_name == "tests"
+            || file.path.contains("/tests/")
+            || file.path.contains("/benches/")
+        {
+            continue;
+        }
+        walk_structs(&file.ast.items, &mut |name, span, fields| {
+            if file
+                .test_regions
+                .iter()
+                .any(|&(s, e)| span.start >= s && span.start < e)
+            {
+                return;
+            }
+            out.entry(name)
+                .and_modify(|seen| *seen = None)
+                .or_insert(Some(fields));
+        });
+    }
+    out
+}
+
 /// Resolve a method call `recv.name(…)`.
 fn resolve_method_call(
     fns: &[FnNode],
     by_name: &BTreeMap<&str, Vec<usize>>,
+    structs: &StructFields<'_>,
     caller: usize,
     name: &str,
     recv: &str,
@@ -405,9 +436,29 @@ fn resolve_method_call(
         return Resolution::External;
     }
     // `self.method()` — the caller's own impl type is strong evidence and
-    // bypasses the common-name guard.
+    // bypasses the common-name guard; so does a `self.field` receiver's
+    // declared type.
     if recv == "self" || recv.starts_with("self.") {
         if let Some(ty) = &fns[caller].impl_ty {
+            // `self.field.method()` — the field's declared type, when the
+            // caller's type is a workspace struct, is stronger evidence.
+            let field_ty = recv.strip_prefix("self.").and_then(|field| {
+                structs
+                    .get(ty.as_str())
+                    .copied()
+                    .flatten()
+                    .and_then(|fs| fs.iter().find(|(f, _)| f == field).map(|(_, t)| t.as_str()))
+            });
+            if let Some(field_ty) = field_ty {
+                let typed: Vec<usize> = assoc
+                    .iter()
+                    .copied()
+                    .filter(|&c| fns[c].impl_ty.as_deref() == Some(field_ty))
+                    .collect();
+                if !typed.is_empty() {
+                    return narrow(fns, caller, typed, false);
+                }
+            }
             let own: Vec<usize> = assoc
                 .iter()
                 .copied()
@@ -621,6 +672,64 @@ mod tests {
         assert_eq!(g.stats.resolved_edges, 0);
         let go = g.fns.iter().position(|f| f.name == "go").unwrap();
         assert_eq!(g.fns[go].calls[0].targets.len(), 2);
+    }
+
+    #[test]
+    fn self_field_receivers_resolve_by_the_field_type() {
+        let files = vec![
+            file(
+                "crates/a/src/x.rs",
+                "a",
+                "pub struct Node { pub tde: Tde, pub stats: Vec<Stat> }
+                 impl Node {
+                     fn go(&mut self) { self.tde.observe(); self.stats.observe(); }
+                     fn observe(&self) {}
+                 }",
+            ),
+            file(
+                "crates/b/src/y.rs",
+                "b",
+                "impl Tde { pub fn observe(&mut self) {} }",
+            ),
+            file(
+                "crates/c/src/z.rs",
+                "c",
+                "impl Stat { pub fn observe(&mut self) {} }",
+            ),
+        ];
+        let g = CallGraph::build(&files);
+        assert!(edge(&g, "Node::go", "Tde::observe"));
+        // `Vec<Stat>` types the field as `Vec`, which has no workspace
+        // impl: the old rule (the caller's own type) still applies.
+        let go = g.fns.iter().position(|f| f.name == "go").unwrap();
+        let second = &g.fns[go].calls[1];
+        assert!(second.strict && g.fns[second.targets[0]].qual.ends_with("Node::observe"));
+    }
+
+    #[test]
+    fn a_struct_name_declared_twice_types_nothing() {
+        let files = vec![
+            file(
+                "crates/a/src/x.rs",
+                "a",
+                "pub struct Node { tde: Tde }
+                 impl Node { fn go(&mut self) { self.tde.observe(); } }",
+            ),
+            file("crates/b/src/y.rs", "b", "pub struct Node { tde: Other }"),
+            file(
+                "crates/b/src/z.rs",
+                "b",
+                "impl Tde { pub fn observe(&mut self) {} }",
+            ),
+            file(
+                "crates/c/src/w.rs",
+                "c",
+                "impl Filter { pub fn observe(&mut self) {} }",
+            ),
+        ];
+        let g = CallGraph::build(&files);
+        assert!(!edge(&g, "Node::go", "Tde::observe"));
+        assert_eq!(g.stats.ambiguous_edges, 1);
     }
 
     #[test]

@@ -241,19 +241,26 @@ impl<'a> Parser<'a> {
             "mod" => Some(self.mod_item(start)),
             "impl" => Some(self.impl_item(start, false)),
             "trait" => Some(self.impl_item(start, true)),
-            "struct" | "enum" | "union" => {
+            kw @ ("struct" | "enum" | "union") => {
                 self.i += 1;
                 // name, generics, then `;` / `(…);` / `{…}`.
+                let mut name = String::new();
                 if self.kind(self.i) == Some(TokKind::Ident) {
+                    name = self.text(self.i).to_string();
                     self.i += 1;
                 }
                 if self.at("<") {
                     self.skip_generics();
                 }
+                let mut fields = None;
                 while !self.eof() {
                     match self.text(self.i) {
                         ";" => {
                             self.i += 1;
+                            break;
+                        }
+                        "{" if kw == "struct" => {
+                            fields = Some(self.struct_fields());
                             break;
                         }
                         "{" => {
@@ -267,8 +274,10 @@ impl<'a> Parser<'a> {
                         _ => self.i += 1,
                     }
                 }
-                Some(Item::Other {
-                    span: self.span_range(start, self.i.saturating_sub(1)),
+                let span = self.span_range(start, self.i.saturating_sub(1));
+                Some(match fields {
+                    Some(fields) => Item::Struct { name, span, fields },
+                    None => Item::Other { span },
                 })
             }
             "use" | "static" | "type" | "extern" | "const" => {
@@ -411,6 +420,50 @@ impl<'a> Parser<'a> {
             span: self.span_range(start, self.i.saturating_sub(1)),
             fns,
         }
+    }
+
+    /// Named fields of a struct body; the cursor sits on its `{`. Each
+    /// `[pub] name: Type` yields `(name, type_path())`; the rest of the
+    /// field (generics, tuple or array types) is skipped up to its `,`.
+    fn struct_fields(&mut self) -> Vec<(String, String)> {
+        let mut fields = Vec::new();
+        self.i += 1; // {
+        while !self.eof() && !self.at("}") {
+            let field_start = self.i;
+            self.skip_attrs();
+            if self.at("pub") {
+                self.i += 1;
+                if self.at("(") {
+                    self.skip_balanced();
+                }
+            }
+            if self.kind(self.i) == Some(TokKind::Ident) && self.peek_is(1, ":") {
+                let name = self.text(self.i).to_string();
+                self.i += 2;
+                fields.push((name, self.type_path()));
+            }
+            while !self.eof() {
+                match self.text(self.i) {
+                    "," => {
+                        self.i += 1;
+                        break;
+                    }
+                    "}" => break,
+                    "(" | "[" | "{" => {
+                        self.skip_balanced();
+                    }
+                    "<" => self.skip_generics(),
+                    _ => self.i += 1,
+                }
+            }
+            if self.i == field_start {
+                self.i += 1; // recovery
+            }
+        }
+        if self.at("}") {
+            self.i += 1;
+        }
+        fields
     }
 
     /// Read a type path for impl headers: the final plain segment of
@@ -898,6 +951,42 @@ mod tests {
         assert!(evs.contains(&EventKind::MacroCall {
             name: "panic".into()
         }));
+    }
+
+    #[test]
+    fn struct_fields_keep_their_type_names() {
+        let ast = ast_of(
+            "pub struct Node<B: Backend> where B: Send {
+                #[doc = \"x\"] pub tde: crate::Tde,
+                pub(crate) pool: Option<ShardPool>,
+                map: HashMap<String, (u32, u64)>,
+                pair: (u8, u8), arr: [u64; 3], f: fn(u32) -> u64,
+                db: B,
+            }
+            struct Unit; struct Tuple(u32); enum E { A { x: u32 } }",
+        );
+        let structs: Vec<(&str, Vec<(String, String)>)> = ast
+            .items
+            .iter()
+            .filter_map(|it| match it {
+                Item::Struct { name, fields, .. } => Some((name.as_str(), fields.clone())),
+                _ => None,
+            })
+            .collect();
+        let want: Vec<(String, String)> = [
+            ("tde", "Tde"),
+            ("pool", "Option"),
+            ("map", "HashMap"),
+            ("pair", ""),
+            ("arr", ""),
+            ("f", "fn"),
+            ("db", "B"),
+        ]
+        .iter()
+        .map(|&(f, t)| (f.to_string(), t.to_string()))
+        .collect();
+        assert_eq!(structs, vec![("Node", want)]);
+        assert_eq!(ast.items.len(), 4);
     }
 
     #[test]

@@ -140,7 +140,7 @@ fn all_spans(ast: &Ast) -> Vec<Span> {
                     }
                 }
                 Item::Fn(f) => bodies(f, out),
-                Item::Other { .. } => {}
+                Item::Struct { .. } | Item::Other { .. } => {}
             }
         }
     }

@@ -53,10 +53,15 @@ impl WriteSource {
     ];
 
     fn index(self) -> usize {
-        Self::ALL
-            .iter()
-            .position(|&s| s == self)
-            .expect("source in ALL")
+        match self {
+            WriteSource::Backend => 0,
+            WriteSource::BgWriter => 1,
+            WriteSource::Checkpoint => 2,
+            WriteSource::Wal => 3,
+            WriteSource::Stats => 4,
+            WriteSource::Vacuum => 5,
+            WriteSource::TempSpill => 6,
+        }
     }
 }
 
@@ -245,6 +250,13 @@ autodbaas_snapshot::snap_struct!(DiskSet { data, aux });
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn write_source_index_is_the_position_in_all() {
+        for (i, s) in WriteSource::ALL.into_iter().enumerate() {
+            assert_eq!(s.index(), i);
+        }
+    }
 
     #[test]
     fn idle_disk_sits_at_base_latency() {

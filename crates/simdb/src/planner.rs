@@ -239,9 +239,8 @@ impl Planner {
         let useful_workers = rows / 50_000; // below ~50k rows a worker costs more than it saves
         let workers_requested = if q.parallelizable {
             // The knob spec bounds max_workers to a small constant, so the
-            // min always fits the Plan's u32 field.
-            u32::try_from(max_workers.min(useful_workers))
-                .expect("worker count bounded by knob spec")
+            // min always fits the Plan's u32 field; saturate regardless.
+            u32::try_from(max_workers.min(useful_workers)).unwrap_or(u32::MAX)
         } else {
             0
         };

@@ -60,8 +60,7 @@ impl P2Quantile {
         if self.init.len() < 5 {
             self.init.push(x);
             if self.init.len() == 5 {
-                self.init
-                    .sort_by(|a, b| a.partial_cmp(b).expect("NaN observation"));
+                self.init.sort_by(f64::total_cmp);
                 for (h, v) in self.heights.iter_mut().zip(&self.init) {
                     *h = *v;
                 }

@@ -8,6 +8,7 @@ use autodbaas::tde::{classify, normalize_sql, ClassHistogram, Reservoir, Templat
 use autodbaas::telemetry::entropy::{normalized_entropy, paper_entropy_score, shannon_entropy};
 use autodbaas::telemetry::stats::percentile;
 use autodbaas::tuner::{denormalize_config, normalize_config};
+use autodbaas_snapshot::encode_to_vec;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -325,8 +326,13 @@ fn fleet_node(seed: u64) -> ManagedDatabase {
 proptest! {
     // Sharding must be invisible: for ANY fleet size, ANY shard count
     // (clamping included) and ANY seeded chaos plan, the sharded drive
-    // produces the same event-log fingerprint, per-node counters and drive
-    // totals as the one-shard (serial) drive, bit for bit.
+    // produces the same event-log fingerprint, per-node counters, drive
+    // totals, TDE state and repository as the one-shard (serial) drive, bit
+    // for bit. The TDE rounds run their observe step on the pool too, so
+    // the encoded TDEs and repository catch a divergence there before it
+    // reaches the event log. Rounds fall at 60 s and 120 s; a
+    // `TelemetryDrop` in the 50 s slot blacks out the 60 s round (and a
+    // `VmCrash` there may still be recovering), covering the skip path.
     #[test]
     fn serial_and_sharded_fleets_are_bit_identical(
         n_nodes in 1usize..7,
@@ -380,13 +386,16 @@ proptest! {
                     )
                 })
                 .collect();
-            (sim.events.fingerprint(), metrics, sim.drive_stats())
+            let tdes: Vec<Vec<u8>> = sim.nodes.iter().map(|n| encode_to_vec(&n.tde)).collect();
+            let state = (tdes, encode_to_vec(&sim.repo));
+            (sim.events.fingerprint(), metrics, sim.drive_stats(), state)
         };
         let one = run(1);
         let sharded_run = run(shards);
         prop_assert_eq!(one.0, sharded_run.0, "event fingerprints diverged");
         prop_assert_eq!(one.1, sharded_run.1, "per-node metrics diverged");
         prop_assert_eq!(one.2, sharded_run.2, "drive totals diverged");
+        prop_assert!(one.3 == sharded_run.3, "TDE state or repository diverged");
         // The engine meters the drive it performed.
         prop_assert_eq!(sharded_run.2.node_ticks, n_nodes as u64 * 2 * MIN / 1_000);
     }
